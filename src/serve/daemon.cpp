@@ -121,251 +121,181 @@ void Daemon::on_stopping() {
   if (controller_) controller_->drain();
 }
 
+ScoreResponse Daemon::handle_score(const ScoreRequest& request) {
+  ScoreResponse response = service_.score(request);
+  core::counters().add("serve.daemon.scores", 1);
+  core::counters().add("serve.daemon.windows_scored", request.windows.size());
+  return response;
+}
+
+wire::IngestReply Daemon::handle_ingest(const wire::IngestRequest& request) {
+  if (!roster_.contains(request.entity)) {
+    throw common::PreconditionError("unknown entity in ingest request: " + request.entity);
+  }
+  if (!request.ticks.empty() && request.ticks.cols() != store_.num_channels()) {
+    throw common::PreconditionError("ingest tick width " +
+                                    std::to_string(request.ticks.cols()) +
+                                    " disagrees with the domain's " +
+                                    std::to_string(store_.num_channels()) + " channels");
+  }
+  store_.append_block(request.entity, request.ticks, request.regimes);
+  core::counters().add("serve.daemon.ingests", 1);
+  core::counters().add("serve.daemon.ticks_ingested", request.ticks.rows());
+  return {request.ticks.rows(), store_.ticks(request.entity)};
+}
+
+ScoreResponse Daemon::handle_score_latest(const wire::ScoreLatestRequest& request) {
+  if (request.count == 0) {
+    throw common::PreconditionError("score-latest window count must be >= 1");
+  }
+  const std::size_t seq_len = request.seq_len != 0 ? static_cast<std::size_t>(request.seq_len)
+                                                   : config_.store_seq_len;
+  // Windows are zero-copy views over the store; unknown entities and
+  // too-short histories surface as PreconditionError -> BadRequest.
+  const std::vector<data::WindowView> views =
+      store_.latest_windows(request.entity, seq_len, static_cast<std::size_t>(request.count));
+  ScoreResponse response = service_.score_views(request.entity, views);
+  core::counters().add("serve.daemon.scores", 1);
+  core::counters().add("serve.daemon.windows_scored", views.size());
+  return response;
+}
+
+wire::CanaryAdminReply Daemon::handle_promote(const wire::CanaryAdminRequest& request) {
+  wire::CanaryAdminReply reply;
+  // Throws PreconditionError when a DIFFERENT candidate is staged.
+  reply.applied = service_.promote_candidate(request.generation);
+  if (!reply.applied) {
+    // Nothing staged. A repeat of a promote that already landed (explicit
+    // generation == the serving primary) is idempotent success; anything
+    // else names an unknown generation.
+    if (request.generation == 0 || service_.generation() != request.generation) {
+      throw common::PreconditionError(request.generation == 0
+                                          ? "no canary candidate staged"
+                                          : "promote names unknown generation " +
+                                                std::to_string(request.generation));
+    }
+  }
+  reply.generation = service_.generation();
+  core::counters().add("serve.daemon.promotes", 1);
+  return reply;
+}
+
+wire::CanaryAdminReply Daemon::handle_rollback(const wire::CanaryAdminRequest& request) {
+  wire::CanaryAdminReply reply;
+  reply.applied = service_.rollback_candidate(request.generation);
+  // A repeat rollback (explicit generation, nothing staged) is idempotent
+  // success — the candidate is gone either way. Only the bare form must
+  // name SOMETHING to roll back.
+  if (!reply.applied && request.generation == 0) {
+    throw common::PreconditionError("no canary candidate staged");
+  }
+  reply.generation = service_.generation();
+  core::counters().add("serve.daemon.rollbacks", 1);
+  return reply;
+}
+
+wire::StatsSnapshot Daemon::handle_stats() const {
+  wire::StatsSnapshot stats = core::counters().snapshot();
+  stats.emplace_back("serve.daemon.generation", service_.generation());
+  stats.emplace_back("serve.daemon.adaptive_enabled", controller_ ? 1 : 0);
+  const data::ColumnStore::Stats store_stats = store_.stats();
+  stats.emplace_back("serve.store.entities", store_stats.entities);
+  stats.emplace_back("serve.store.ticks", store_stats.ticks);
+  stats.emplace_back("serve.store.segments", store_stats.segments);
+  stats.emplace_back("serve.store.bytes_mapped", store_stats.bytes_mapped);
+  // Canary gauges: the tracker's exact counters plus the derived rates
+  // scaled to integer ppm/micro units (the wire's stats values are u64).
+  const CanaryMetrics canary = service_.canary_metrics();
+  const auto scaled_micro = [](double value) -> std::uint64_t {
+    const double micro = std::abs(value) * 1e6;
+    if (micro >= 9.0e18) return 9000000000000000000ULL;
+    return static_cast<std::uint64_t>(micro);
+  };
+  stats.emplace_back("serve.canary.mirroring",
+                     canary.state == CanaryState::kMirroring ? 1 : 0);
+  stats.emplace_back("serve.canary.epoch", canary.epoch);
+  stats.emplace_back("serve.canary.candidate_generation",
+                     service_.candidate_generation());
+  stats.emplace_back("serve.canary.window_total", canary.mirrored_windows);
+  stats.emplace_back("serve.canary.request_total", canary.mirrored_requests);
+  stats.emplace_back("serve.canary.evaluations", canary.evaluations);
+  stats.emplace_back("serve.canary.breach_streak", canary.breach_streak);
+  for (std::size_t c = 0; c < canary.clusters.size(); ++c) {
+    const CanaryClusterMetrics& cluster = canary.clusters[c];
+    const std::string prefix =
+        std::string("serve.canary.") + to_string(static_cast<Cluster>(c));
+    stats.emplace_back(prefix + ".windows", cluster.mirrored_windows);
+    stats.emplace_back(prefix + ".primary_flags", cluster.primary_flags);
+    stats.emplace_back(prefix + ".candidate_flags", cluster.candidate_flags);
+    stats.emplace_back(prefix + ".state_flips", cluster.state_flips);
+    stats.emplace_back(prefix + ".flag_delta_ppm",
+                       scaled_micro(cluster.flag_rate_delta()));
+    stats.emplace_back(prefix + ".risk_distance_micro",
+                       scaled_micro(cluster.risk_distance()));
+  }
+  return stats;
+}
+
+wire::RefreshReply Daemon::handle_refresh() {
+  wire::RefreshReply reply;
+  if (controller_) {
+    try {
+      // Let any in-flight automatic refresh settle first so the reply is
+      // deterministic about what is being served afterwards. In canary mode
+      // a manual Refresh always FORCES a rebuild: staging a candidate is
+      // safe by construction (the mirror measures it before anything
+      // changes), so the operator verb means "start a canary now", not
+      // "maybe, if the partition moved".
+      controller_->drain();
+      reply.refreshed = controller_->maybe_refresh(config_.adaptive.canary);
+    } catch (const std::exception& error) {
+      core::counters().add("serve.adaptive.refresh_failures", 1);
+      throw VerbError(wire::ErrorCode::kInternal, error.what());
+    }
+  }
+  reply.generation = service_.generation();
+  return reply;
+}
+
 bool Daemon::dispatch(common::Socket& socket, const wire::Frame& frame) {
   switch (frame.type) {
-    case wire::MessageType::kScore: {
-      ScoreRequest request;
-      try {
-        request = wire::decode_score_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        // Frame boundaries are intact — answer and keep the connection.
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
-      }
-      try {
-        const ScoreResponse response = service_.score(request);
-        wire::send_frame(socket, wire::MessageType::kScoreReply,
-                         wire::encode_score_response(response));
-        core::counters().add("serve.daemon.scores", 1);
-        core::counters().add("serve.daemon.windows_scored", request.windows.size());
-      } catch (const common::SocketError&) {
-        throw;  // the reply itself failed mid-write; the stream is dead
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        // Any other server-side failure is what kInternal exists for; the
-        // client must get a typed reply, not a silent disconnect.
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
-      }
+    case wire::MessageType::kScore:
+      serve_verb(socket, frame, wire::decode<ScoreRequest>,
+                 [this](const ScoreRequest& request) { return handle_score(request); });
       return true;
-    }
-    case wire::MessageType::kIngest: {
-      wire::IngestRequest request;
-      try {
-        request = wire::decode_ingest_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
-      }
-      try {
-        if (!roster_.contains(request.entity)) {
-          throw common::PreconditionError("unknown entity in ingest request: " +
-                                          request.entity);
-        }
-        if (!request.ticks.empty() && request.ticks.cols() != store_.num_channels()) {
-          throw common::PreconditionError(
-              "ingest tick width " + std::to_string(request.ticks.cols()) +
-              " disagrees with the domain's " + std::to_string(store_.num_channels()) +
-              " channels");
-        }
-        store_.append_block(request.entity, request.ticks, request.regimes);
-        wire::IngestReply reply;
-        reply.accepted = request.ticks.rows();
-        reply.total_ticks = store_.ticks(request.entity);
-        wire::send_frame(socket, wire::MessageType::kIngestReply,
-                         wire::encode_ingest_reply(reply));
-        core::counters().add("serve.daemon.ingests", 1);
-        core::counters().add("serve.daemon.ticks_ingested", request.ticks.rows());
-      } catch (const common::SocketError&) {
-        throw;
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
-      }
+    case wire::MessageType::kIngest:
+      serve_verb(socket, frame, wire::decode<wire::IngestRequest>,
+                 [this](const wire::IngestRequest& request) { return handle_ingest(request); });
       return true;
-    }
-    case wire::MessageType::kScoreLatest: {
-      wire::ScoreLatestRequest request;
-      try {
-        request = wire::decode_score_latest_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
-      }
-      try {
-        if (request.count == 0) {
-          throw common::PreconditionError("score-latest window count must be >= 1");
-        }
-        const std::size_t seq_len = request.seq_len != 0
-                                        ? static_cast<std::size_t>(request.seq_len)
-                                        : config_.store_seq_len;
-        // Windows are zero-copy views over the store; unknown entities and
-        // too-short histories surface as PreconditionError -> BadRequest.
-        const std::vector<data::WindowView> views = store_.latest_windows(
-            request.entity, seq_len, static_cast<std::size_t>(request.count));
-        const ScoreResponse response = service_.score_views(request.entity, views);
-        wire::send_frame(socket, wire::MessageType::kScoreLatestReply,
-                         wire::encode_score_response(response));
-        core::counters().add("serve.daemon.scores", 1);
-        core::counters().add("serve.daemon.windows_scored", views.size());
-      } catch (const common::SocketError&) {
-        throw;
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
-      }
+    case wire::MessageType::kScoreLatest:
+      serve_verb(socket, frame, wire::decode<wire::ScoreLatestRequest>,
+                 [this](const wire::ScoreLatestRequest& request) {
+                   return handle_score_latest(request);
+                 });
       return true;
-    }
-    case wire::MessageType::kStats: {
-      wire::StatsSnapshot stats = core::counters().snapshot();
-      stats.emplace_back("serve.daemon.generation", service_.generation());
-      stats.emplace_back("serve.daemon.adaptive_enabled", controller_ ? 1 : 0);
-      const data::ColumnStore::Stats store_stats = store_.stats();
-      stats.emplace_back("serve.store.entities", store_stats.entities);
-      stats.emplace_back("serve.store.ticks", store_stats.ticks);
-      stats.emplace_back("serve.store.segments", store_stats.segments);
-      stats.emplace_back("serve.store.bytes_mapped", store_stats.bytes_mapped);
-      // Canary gauges: the tracker's exact counters plus the derived rates
-      // scaled to integer ppm/micro units (the wire's stats values are u64).
-      const CanaryMetrics canary = service_.canary_metrics();
-      const auto scaled_micro = [](double value) -> std::uint64_t {
-        const double micro = std::abs(value) * 1e6;
-        if (micro >= 9.0e18) return 9000000000000000000ULL;
-        return static_cast<std::uint64_t>(micro);
-      };
-      stats.emplace_back("serve.canary.mirroring",
-                         canary.state == CanaryState::kMirroring ? 1 : 0);
-      stats.emplace_back("serve.canary.epoch", canary.epoch);
-      stats.emplace_back("serve.canary.candidate_generation",
-                         service_.candidate_generation());
-      stats.emplace_back("serve.canary.window_total", canary.mirrored_windows);
-      stats.emplace_back("serve.canary.request_total", canary.mirrored_requests);
-      stats.emplace_back("serve.canary.evaluations", canary.evaluations);
-      stats.emplace_back("serve.canary.breach_streak", canary.breach_streak);
-      for (std::size_t c = 0; c < canary.clusters.size(); ++c) {
-        const CanaryClusterMetrics& cluster = canary.clusters[c];
-        const std::string prefix =
-            std::string("serve.canary.") + to_string(static_cast<Cluster>(c));
-        stats.emplace_back(prefix + ".windows", cluster.mirrored_windows);
-        stats.emplace_back(prefix + ".primary_flags", cluster.primary_flags);
-        stats.emplace_back(prefix + ".candidate_flags", cluster.candidate_flags);
-        stats.emplace_back(prefix + ".state_flips", cluster.state_flips);
-        stats.emplace_back(prefix + ".flag_delta_ppm",
-                           scaled_micro(cluster.flag_rate_delta()));
-        stats.emplace_back(prefix + ".risk_distance_micro",
-                           scaled_micro(cluster.risk_distance()));
-      }
-      wire::send_frame(socket, wire::MessageType::kStatsReply, wire::encode_stats(stats));
+    case wire::MessageType::kPromote:
+      serve_verb(socket, frame, wire::decode<wire::CanaryAdminRequest>,
+                 [this](const wire::CanaryAdminRequest& request) {
+                   return handle_promote(request);
+                 });
       return true;
-    }
-    case wire::MessageType::kHealth: {
+    case wire::MessageType::kRollback:
+      serve_verb(socket, frame, wire::decode<wire::CanaryAdminRequest>,
+                 [this](const wire::CanaryAdminRequest& request) {
+                   return handle_rollback(request);
+                 });
+      return true;
+    case wire::MessageType::kStats:
+      answer(socket, frame, [this] { return handle_stats(); });
+      return true;
+    case wire::MessageType::kHealth:
       // Deliberately cheap: no counter snapshot, no allocation beyond the
       // reply — this is what a router polls every few hundred ms per shard.
-      wire::HealthReply reply;
-      reply.draining = false;
-      reply.generation = service_.generation();
-      wire::send_frame(socket, wire::MessageType::kHealthReply,
-                       wire::encode_health_reply(reply));
+      answer(socket, frame, [this] { return wire::HealthReply{false, service_.generation()}; });
       return true;
-    }
-    case wire::MessageType::kRefresh: {
-      wire::RefreshReply reply;
-      if (controller_) {
-        try {
-          // Let any in-flight automatic refresh settle first so the reply
-          // is deterministic about what is being served afterwards. In
-          // canary mode a manual Refresh always FORCES a rebuild: staging
-          // a candidate is safe by construction (the mirror measures it
-          // before anything changes), so the operator verb means "start a
-          // canary now", not "maybe, if the partition moved".
-          controller_->drain();
-          reply.refreshed = controller_->maybe_refresh(config_.adaptive.canary);
-        } catch (const std::exception& error) {
-          core::counters().add("serve.adaptive.refresh_failures", 1);
-          send_error(socket, wire::ErrorCode::kInternal, error.what());
-          return true;
-        }
-      }
-      reply.generation = service_.generation();
-      wire::send_frame(socket, wire::MessageType::kRefreshReply,
-                       wire::encode_refresh_reply(reply));
+    case wire::MessageType::kRefresh:
+      answer(socket, frame, [this] { return handle_refresh(); });
       return true;
-    }
-    case wire::MessageType::kPromote: {
-      wire::PromoteRequest request;
-      try {
-        request = wire::decode_promote_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
-      }
-      try {
-        wire::PromoteReply reply;
-        // Throws PreconditionError when a DIFFERENT candidate is staged.
-        reply.applied = service_.promote_candidate(request.generation);
-        if (!reply.applied) {
-          // Nothing staged. A repeat of a promote that already landed
-          // (explicit generation == the serving primary) is idempotent
-          // success; anything else names an unknown generation.
-          if (request.generation == 0 ||
-              service_.generation() != request.generation) {
-            throw common::PreconditionError(
-                request.generation == 0
-                    ? "no canary candidate staged"
-                    : "promote names unknown generation " +
-                          std::to_string(request.generation));
-          }
-        }
-        reply.generation = service_.generation();
-        wire::send_frame(socket, wire::MessageType::kPromoteReply,
-                         wire::encode_promote_reply(reply));
-        core::counters().add("serve.daemon.promotes", 1);
-      } catch (const common::SocketError&) {
-        throw;
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
-      }
-      return true;
-    }
-    case wire::MessageType::kRollback: {
-      wire::RollbackRequest request;
-      try {
-        request = wire::decode_rollback_request(frame.payload);
-      } catch (const common::SerializationError& error) {
-        core::counters().add("serve.daemon.malformed_frames", 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-        return true;
-      }
-      try {
-        wire::RollbackReply reply;
-        reply.applied = service_.rollback_candidate(request.generation);
-        // A repeat rollback (explicit generation, nothing staged) is
-        // idempotent success — the candidate is gone either way. Only the
-        // bare form must name SOMETHING to roll back.
-        if (!reply.applied && request.generation == 0) {
-          throw common::PreconditionError("no canary candidate staged");
-        }
-        reply.generation = service_.generation();
-        wire::send_frame(socket, wire::MessageType::kRollbackReply,
-                         wire::encode_rollback_reply(reply));
-        core::counters().add("serve.daemon.rollbacks", 1);
-      } catch (const common::SocketError&) {
-        throw;
-      } catch (const common::PreconditionError& error) {
-        send_error(socket, wire::ErrorCode::kBadRequest, error.what());
-      } catch (const std::exception& error) {
-        send_error(socket, wire::ErrorCode::kInternal, error.what());
-      }
-      return true;
-    }
     case wire::MessageType::kShutdown: {
       wire::send_frame(socket, wire::MessageType::kShutdownReply, {});
       request_stop();
@@ -407,12 +337,12 @@ DaemonClient::DaemonClient(common::Endpoint endpoint, DaemonClientConfig config)
 DaemonClient::DaemonClient(const std::filesystem::path& socket_path)
     : DaemonClient(common::Endpoint::unix_socket(socket_path), fail_fast_config()) {}
 
-wire::Frame DaemonClient::roundtrip(wire::MessageType type, const std::string& payload,
-                                    wire::MessageType expected_reply, bool retryable) {
+template <class Reply, class Request>
+Reply DaemonClient::call(wire::MessageType type, const Request& request, bool retryable) {
   wire::ChannelPool::Lease channel = pool_.acquire();
-  wire::Frame reply = channel->roundtrip(type, payload, retryable);
+  const wire::Frame reply = channel->roundtrip(type, wire::encode(request), retryable);
   if (reply.type == wire::MessageType::kError) {
-    const wire::ErrorFrame error = wire::decode_error(reply.payload);
+    const auto error = wire::decode<wire::ErrorFrame>(reply.payload);
     const std::string what = std::string("daemon error (") + wire::to_string(error.code) +
                              "): " + error.message;
     switch (error.code) {
@@ -427,87 +357,62 @@ wire::Frame DaemonClient::roundtrip(wire::MessageType type, const std::string& p
     }
     throw std::runtime_error(what);
   }
-  if (reply.type != expected_reply) {
-    throw common::SerializationError(
-        std::string("wire: expected ") + wire::to_string(expected_reply) + ", got " +
-        wire::to_string(reply.type));
+  if (reply.type != wire::reply_type(type)) {
+    throw common::SerializationError(std::string("wire: expected ") +
+                                     wire::to_string(wire::reply_type(type)) + ", got " +
+                                     wire::to_string(reply.type));
   }
-  return reply;
+  return wire::decode<Reply>(reply.payload);
 }
 
 ScoreResponse DaemonClient::score(const ScoreRequest& request) {
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kScore, wire::encode_score_request(request),
-                wire::MessageType::kScoreReply, /*retryable=*/true);
-  return wire::decode_score_response(reply.payload);
+  return call<ScoreResponse>(wire::MessageType::kScore, request, /*retryable=*/true);
 }
 
 wire::IngestReply DaemonClient::ingest(const wire::IngestRequest& request) {
   // retryable=false: an append replayed on a fresh connection would be
   // double-counted — see the header contract.
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kIngest, wire::encode_ingest_request(request),
-                wire::MessageType::kIngestReply, /*retryable=*/false);
-  return wire::decode_ingest_reply(reply.payload);
+  return call<wire::IngestReply>(wire::MessageType::kIngest, request, /*retryable=*/false);
 }
 
 ScoreResponse DaemonClient::score_latest(const wire::ScoreLatestRequest& request) {
-  const wire::Frame reply = roundtrip(wire::MessageType::kScoreLatest,
-                                      wire::encode_score_latest_request(request),
-                                      wire::MessageType::kScoreLatestReply,
-                                      /*retryable=*/true);
-  return wire::decode_score_response(reply.payload);
+  return call<ScoreResponse>(wire::MessageType::kScoreLatest, request, /*retryable=*/true);
 }
 
 wire::StatsSnapshot DaemonClient::stats() {
-  const wire::Frame reply = roundtrip(wire::MessageType::kStats, {},
-                                      wire::MessageType::kStatsReply, /*retryable=*/true);
-  return wire::decode_stats(reply.payload);
+  return call<wire::StatsSnapshot>(wire::MessageType::kStats, wire::Empty{},
+                                   /*retryable=*/true);
 }
 
 wire::HealthReply DaemonClient::health() {
-  const wire::Frame reply = roundtrip(wire::MessageType::kHealth, {},
-                                      wire::MessageType::kHealthReply, /*retryable=*/true);
-  return wire::decode_health_reply(reply.payload);
+  return call<wire::HealthReply>(wire::MessageType::kHealth, wire::Empty{},
+                                 /*retryable=*/true);
 }
 
 wire::RefreshReply DaemonClient::refresh() {
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kRefresh, {}, wire::MessageType::kRefreshReply,
-                /*retryable=*/true);
-  return wire::decode_refresh_reply(reply.payload);
+  return call<wire::RefreshReply>(wire::MessageType::kRefresh, wire::Empty{},
+                                  /*retryable=*/true);
 }
 
-wire::PromoteReply DaemonClient::promote(std::uint64_t generation) {
-  wire::PromoteRequest request;
-  request.generation = generation;
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kPromote, wire::encode_promote_request(request),
-                wire::MessageType::kPromoteReply, /*retryable=*/true);
-  return wire::decode_promote_reply(reply.payload);
+wire::CanaryAdminReply DaemonClient::promote(std::uint64_t generation) {
+  return call<wire::CanaryAdminReply>(wire::MessageType::kPromote,
+                                      wire::CanaryAdminRequest{generation},
+                                      /*retryable=*/true);
 }
 
-wire::RollbackReply DaemonClient::rollback(std::uint64_t generation) {
-  wire::RollbackRequest request;
-  request.generation = generation;
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kRollback, wire::encode_rollback_request(request),
-                wire::MessageType::kRollbackReply, /*retryable=*/true);
-  return wire::decode_rollback_reply(reply.payload);
+wire::CanaryAdminReply DaemonClient::rollback(std::uint64_t generation) {
+  return call<wire::CanaryAdminReply>(wire::MessageType::kRollback,
+                                      wire::CanaryAdminRequest{generation},
+                                      /*retryable=*/true);
 }
 
 wire::DrainReply DaemonClient::drain(const std::string& shard) {
-  wire::DrainRequest request;
-  request.shard = shard;
-  const wire::Frame reply =
-      roundtrip(wire::MessageType::kDrain, wire::encode_drain_request(request),
-                wire::MessageType::kDrainReply, /*retryable=*/false);
-  return wire::decode_drain_reply(reply.payload);
+  return call<wire::DrainReply>(wire::MessageType::kDrain, wire::DrainRequest{shard},
+                                /*retryable=*/false);
 }
 
 void DaemonClient::shutdown() {
-  (void)roundtrip(wire::MessageType::kShutdown, {}, wire::MessageType::kShutdownReply,
-                  /*retryable=*/false);
+  (void)call<wire::Empty>(wire::MessageType::kShutdown, wire::Empty{}, /*retryable=*/false);
 }
 
 }  // namespace goodones::serve

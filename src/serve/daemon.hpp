@@ -124,6 +124,15 @@ class Daemon final : public FrameServer {
   void on_stopping() override;
 
  private:
+  // Verb bodies (run inside FrameServer::serve_verb's error ladder).
+  ScoreResponse handle_score(const ScoreRequest& request);
+  wire::IngestReply handle_ingest(const wire::IngestRequest& request);
+  ScoreResponse handle_score_latest(const wire::ScoreLatestRequest& request);
+  wire::CanaryAdminReply handle_promote(const wire::CanaryAdminRequest& request);
+  wire::CanaryAdminReply handle_rollback(const wire::CanaryAdminRequest& request);
+  wire::StatsSnapshot handle_stats() const;
+  wire::RefreshReply handle_refresh();
+
   DaemonConfig config_;
   ModelRegistry registry_;
   ScoringService service_;
@@ -182,9 +191,9 @@ class DaemonClient {
   /// Promotes the daemon's staged canary candidate (0 = whatever is
   /// staged). Auto-retried on a torn connection: address an explicit
   /// generation for exactly-once semantics across retries.
-  wire::PromoteReply promote(std::uint64_t generation = 0);
+  wire::CanaryAdminReply promote(std::uint64_t generation = 0);
   /// Drops the staged canary candidate (same addressing as promote()).
-  wire::RollbackReply rollback(std::uint64_t generation = 0);
+  wire::CanaryAdminReply rollback(std::uint64_t generation = 0);
   /// Router admin: drain shard `shard` out of the ring (see wire::DrainRequest).
   wire::DrainReply drain(const std::string& shard);
   /// Asks the server to stop; returns once it acknowledged. Never
@@ -197,8 +206,11 @@ class DaemonClient {
   std::uint64_t reconnects() const { return pool_.reconnects(); }
 
  private:
-  wire::Frame roundtrip(wire::MessageType type, const std::string& payload,
-                        wire::MessageType expected_reply, bool retryable);
+  /// The one typed round trip behind every verb: encodes `request`,
+  /// expects wire::reply_type(type) back, maps Error frames to the typed
+  /// exceptions above and decodes the reply.
+  template <class Reply, class Request>
+  Reply call(wire::MessageType type, const Request& request, bool retryable);
 
   common::Endpoint endpoint_;
   wire::ChannelPool pool_;

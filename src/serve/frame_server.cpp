@@ -142,12 +142,10 @@ void FrameServer::handle_connection(Connection& connection) {
       try {
         frame = wire::recv_frame(socket);
       } catch (const wire::ProtocolVersionError& error) {
-        core::counters().add(counter("malformed_frames"), 1);
-        send_error(socket, wire::ErrorCode::kUnsupportedVersion, error.what());
+        reject(socket, wire::ErrorCode::kUnsupportedVersion, error.what());
         break;  // the peer speaks a different protocol revision
       } catch (const common::SerializationError& error) {
-        core::counters().add(counter("malformed_frames"), 1);
-        send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
+        reject(socket, wire::ErrorCode::kMalformedFrame, error.what());
         break;  // after a corrupt header the stream offset is untrustworthy
       }
       if (!frame) break;  // clean EOF between frames
@@ -166,14 +164,18 @@ void FrameServer::handle_connection(Connection& connection) {
   connection.done.store(true);
 }
 
+void FrameServer::reject(common::Socket& socket, wire::ErrorCode code,
+                         const std::string& message) noexcept {
+  core::counters().add(counter("malformed_frames"), 1);
+  send_error(socket, code, message);
+}
+
 void FrameServer::send_error(common::Socket& socket, wire::ErrorCode code,
                              const std::string& message) noexcept {
   core::counters().add(counter("error_frames"), 1);
   try {
-    wire::ErrorFrame error;
-    error.code = code;
-    error.message = message;
-    wire::send_frame(socket, wire::MessageType::kError, wire::encode_error(error));
+    wire::send_frame(socket, wire::MessageType::kError,
+                     wire::encode(wire::ErrorFrame{code, message}));
   } catch (const std::exception&) {
     // Best-effort: the peer may already be gone.
   }

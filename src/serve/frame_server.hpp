@@ -13,11 +13,12 @@
 // Error containment (inherited by every subclass): a malformed frame
 // header (bad magic/version/length, mid-frame EOF) gets a typed Error
 // frame and the connection is closed — after a corrupt header the stream
-// offset cannot be trusted. An undecodable payload inside a well-framed
-// message is the subclass's call (the convention is an Error frame with
-// the connection kept open — frame boundaries are intact). The server
-// itself never crashes on client input; the wire fuzz suite drives
-// mutated frames at both transports to hold that line.
+// offset cannot be trusted. Verbs then go through serve_verb() /
+// answer(), the one decode -> body -> error ladder both servers share: an
+// undecodable payload inside a well-framed message answers
+// malformed-frame with the connection kept open (frame boundaries are
+// intact). The server itself never crashes on client input; the wire fuzz
+// suite drives mutated frames at both transports to hold that line.
 #pragma once
 
 #include <atomic>
@@ -25,8 +26,11 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "common/socket.hpp"
 #include "serve/wire.hpp"
@@ -91,6 +95,61 @@ class FrameServer {
   /// and before running() flips false — join subclass workers here.
   virtual void on_stopping() {}
 
+  /// Thrown by a serve_verb() body to answer with a specific error code
+  /// (the mesh's unavailable, say) instead of the ladder's default mapping.
+  class VerbError : public std::runtime_error {
+   public:
+    VerbError(wire::ErrorCode code, const std::string& message)
+        : std::runtime_error(message), code_(code) {}
+    wire::ErrorCode code() const noexcept { return code_; }
+
+   private:
+    wire::ErrorCode code_;
+  };
+
+  /// The one verb ladder of every server. Decodes frame.payload with
+  /// `decode`: undecodable answers malformed-frame, counted under
+  /// <prefix>.malformed_frames, connection kept. Then answers with
+  /// `body(request)` (see answer()).
+  template <class Decode, class Body>
+  void serve_verb(common::Socket& socket, const wire::Frame& frame, Decode decode,
+                  Body body) {
+    std::invoke_result_t<Decode, std::string_view> request;
+    try {
+      request = decode(frame.payload);
+    } catch (const common::SerializationError& error) {
+      reject(socket, wire::ErrorCode::kMalformedFrame, error.what());
+      return;
+    }
+    answer(socket, frame, [&] { return body(request); });
+  }
+
+  /// The ladder's second half, alone for verbs without a payload: sends
+  /// what `body()` returns — a wire::Frame is relayed verbatim, any other
+  /// message is encoded under the frame's reply type. A body's VerbError
+  /// answers its own code, PreconditionError bad-request, any other
+  /// exception internal; SocketError propagates (the reply itself failed
+  /// mid-write, so the stream is dead).
+  template <class Body>
+  void answer(common::Socket& socket, const wire::Frame& frame, Body body) {
+    try {
+      auto reply = body();
+      if constexpr (std::is_same_v<decltype(reply), wire::Frame>) {
+        wire::send_frame(socket, reply.type, reply.payload);
+      } else {
+        wire::send_frame(socket, wire::reply_type(frame.type), wire::encode(reply));
+      }
+    } catch (const common::SocketError&) {
+      throw;
+    } catch (const VerbError& error) {
+      send_error(socket, error.code(), error.what());
+    } catch (const common::PreconditionError& error) {
+      send_error(socket, wire::ErrorCode::kBadRequest, error.what());
+    } catch (const std::exception& error) {
+      send_error(socket, wire::ErrorCode::kInternal, error.what());
+    }
+  }
+
   /// Emits a typed Error frame, best-effort (the peer may be gone).
   void send_error(common::Socket& socket, wire::ErrorCode code,
                   const std::string& message) noexcept;
@@ -111,6 +170,8 @@ class FrameServer {
   void handle_connection(Connection& connection);
   void reap_finished_connections();
   std::string counter(const char* name) const;
+  /// Counts a malformed frame and answers it with a typed Error frame.
+  void reject(common::Socket& socket, wire::ErrorCode code, const std::string& message) noexcept;
 
   FrameServerConfig config_;
   std::unique_ptr<common::Listener> listener_;

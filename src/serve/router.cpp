@@ -163,24 +163,15 @@ bool Router::drain(const std::string& shard) {
   return true;
 }
 
-void Router::handle_entity_forward(common::Socket& socket, const wire::Frame& frame,
+wire::Frame Router::forward_entity(const wire::Frame& frame, const std::string& entity,
                                    bool retryable) {
-  std::string entity;
-  try {
-    entity = wire::peek_score_entity(frame.payload);
-  } catch (const common::SerializationError& error) {
-    core::counters().add("serve.router.malformed_frames", 1);
-    send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-    return;
-  }
   std::string owner;
   Backend* backend = nullptr;
   try {
     backend = acquire_backend(entity, owner);
   } catch (const common::PreconditionError& error) {
     // Empty ring (everything drained) — nothing can own this entity.
-    send_error(socket, wire::ErrorCode::kUnavailable, error.what());
-    return;
+    throw VerbError(wire::ErrorCode::kUnavailable, error.what());
   }
   const InFlightGuard guard(*this, *backend);
   wire::Frame reply;
@@ -193,18 +184,17 @@ void Router::handle_entity_forward(common::Socket& socket, const wire::Frame& fr
     // typed Unavailable to the client — who may simply retry later.
     core::counters().add("serve.router.forward_failures", 1);
     backend->healthy.store(false);
-    send_error(socket, wire::ErrorCode::kUnavailable,
-               "shard '" + owner + "' unreachable: " + error.what());
-    return;
+    throw VerbError(wire::ErrorCode::kUnavailable,
+                    "shard '" + owner + "' unreachable: " + error.what());
   }
-  // Relay verbatim — reply bytes untouched (the bitwise guarantee for
+  core::counters().add("serve.router.forwards", 1);
+  // Relayed verbatim — reply bytes untouched (the bitwise guarantee for
   // kScoreReply/kScoreLatestReply), and a shard-side Error frame passes
   // through as-is too.
-  wire::send_frame(socket, reply.type, reply.payload);
-  core::counters().add("serve.router.forwards", 1);
+  return reply;
 }
 
-void Router::handle_stats(common::Socket& socket) {
+wire::StatsSnapshot Router::handle_stats() const {
   wire::StatsSnapshot stats = core::counters().snapshot();
   std::uint64_t on_ring = 0;
   for (const auto& backend : backends_) {
@@ -218,10 +208,10 @@ void Router::handle_stats(common::Socket& socket) {
     stats.emplace_back(prefix + "reconnects", backend->pool.reconnects());
   }
   stats.emplace_back("serve.router.shards", on_ring);
-  wire::send_frame(socket, wire::MessageType::kStatsReply, wire::encode_stats(stats));
+  return stats;
 }
 
-void Router::handle_health(common::Socket& socket) {
+wire::HealthReply Router::handle_health() const {
   // The router is healthy iff it can answer; its generation is the max a
   // healthy shard serves (what the last probe/refresh learned).
   wire::HealthReply reply;
@@ -230,57 +220,13 @@ void Router::handle_health(common::Socket& socket) {
       reply.generation = std::max(reply.generation, backend->generation.load());
     }
   }
-  wire::send_frame(socket, wire::MessageType::kHealthReply,
-                   wire::encode_health_reply(reply));
+  return reply;
 }
 
-void Router::handle_refresh(common::Socket& socket) {
-  // Broadcast, best-effort per shard: a refresh must not fail wholesale
-  // because one shard is mid-restart. Reply aggregates the successes.
-  wire::RefreshReply aggregate;
+template <class OnReply>
+void Router::broadcast(const wire::Frame& frame, const char* verb, OnReply on_reply) {
   std::size_t reached = 0;
   std::size_t attempted = 0;
-  for (const auto& backend : backends_) {
-    if (backend->draining.load()) continue;
-    ++attempted;
-    try {
-      const wire::ChannelPool::Lease channel = backend->pool.acquire();
-      const wire::Frame reply =
-          channel->roundtrip(wire::MessageType::kRefresh, {}, /*retryable=*/true);
-      if (reply.type != wire::MessageType::kRefreshReply) continue;
-      const wire::RefreshReply decoded = wire::decode_refresh_reply(reply.payload);
-      aggregate.refreshed = aggregate.refreshed || decoded.refreshed;
-      aggregate.generation = std::max(aggregate.generation, decoded.generation);
-      backend->generation.store(decoded.generation);
-      ++reached;
-    } catch (const std::exception& error) {
-      core::counters().add("serve.router.refresh_failures", 1);
-      common::log_warn("router: refresh of shard ", backend->name,
-                       " failed: ", error.what());
-    }
-  }
-  if (reached == 0 && attempted > 0) {
-    send_error(socket, wire::ErrorCode::kUnavailable,
-               "refresh reached no shard (all unreachable)");
-    return;
-  }
-  wire::send_frame(socket, wire::MessageType::kRefreshReply,
-                   wire::encode_refresh_reply(aggregate));
-}
-
-void Router::handle_canary_admin(common::Socket& socket, const wire::Frame& frame) {
-  const bool promote = frame.type == wire::MessageType::kPromote;
-  const wire::MessageType reply_type =
-      promote ? wire::MessageType::kPromoteReply : wire::MessageType::kRollbackReply;
-  // Broadcast like Refresh: canary staging happens per shard, and the
-  // operator addressing the mesh means "resolve the canary wherever one is
-  // staged". The payload is relayed verbatim so an explicit generation
-  // keeps its exactly-once meaning end to end.
-  bool applied = false;
-  std::uint64_t generation = 0;
-  std::size_t reached = 0;
-  std::size_t attempted = 0;
-  std::string refusal;
   for (const auto& backend : backends_) {
     if (backend->draining.load()) continue;
     ++attempted;
@@ -288,108 +234,102 @@ void Router::handle_canary_admin(common::Socket& socket, const wire::Frame& fram
       const wire::ChannelPool::Lease channel = backend->pool.acquire();
       const wire::Frame reply =
           channel->roundtrip(frame.type, frame.payload, /*retryable=*/true);
-      if (reply.type == wire::MessageType::kError) {
-        // A shard with no (or a different) staged candidate refuses with a
-        // typed BadRequest — expected under broadcast; remember the reason
-        // in case EVERY shard refuses.
-        const wire::ErrorFrame error = wire::decode_error(reply.payload);
-        refusal = "shard '" + backend->name + "': " + error.message;
-        ++reached;
-        continue;
-      }
-      if (reply.type != reply_type) continue;
-      bool shard_applied = false;
-      std::uint64_t shard_generation = 0;
-      if (promote) {
-        const wire::PromoteReply decoded = wire::decode_promote_reply(reply.payload);
-        shard_applied = decoded.applied;
-        shard_generation = decoded.generation;
-      } else {
-        const wire::RollbackReply decoded = wire::decode_rollback_reply(reply.payload);
-        shard_applied = decoded.applied;
-        shard_generation = decoded.generation;
-      }
-      applied = applied || shard_applied;
-      generation = std::max(generation, shard_generation);
-      backend->generation.store(shard_generation);
-      ++reached;
+      if (on_reply(*backend, reply)) ++reached;
     } catch (const std::exception& error) {
-      core::counters().add(promote ? "serve.router.promote_failures"
-                                   : "serve.router.rollback_failures",
-                           1);
-      common::log_warn("router: ", promote ? "promote" : "rollback", " of shard ",
-                       backend->name, " failed: ", error.what());
+      core::counters().add(std::string("serve.router.") + verb + "_failures", 1);
+      common::log_warn("router: ", verb, " of shard ", backend->name,
+                       " failed: ", error.what());
     }
   }
   if (reached == 0 && attempted > 0) {
-    send_error(socket, wire::ErrorCode::kUnavailable,
-               std::string(promote ? "promote" : "rollback") +
-                   " reached no shard (all unreachable)");
-    return;
-  }
-  if (!applied && !refusal.empty()) {
-    // Every reachable shard refused — surface the last refusal typed, so a
-    // mistyped generation fails loudly instead of reading as a silent no-op.
-    send_error(socket, wire::ErrorCode::kBadRequest, refusal);
-    return;
-  }
-  if (promote) {
-    wire::PromoteReply aggregate;
-    aggregate.applied = applied;
-    aggregate.generation = generation;
-    wire::send_frame(socket, wire::MessageType::kPromoteReply,
-                     wire::encode_promote_reply(aggregate));
-  } else {
-    wire::RollbackReply aggregate;
-    aggregate.applied = applied;
-    aggregate.generation = generation;
-    wire::send_frame(socket, wire::MessageType::kRollbackReply,
-                     wire::encode_rollback_reply(aggregate));
+    throw VerbError(wire::ErrorCode::kUnavailable,
+                    std::string(verb) + " reached no shard (all unreachable)");
   }
 }
 
-void Router::handle_drain(common::Socket& socket, const wire::Frame& frame) {
-  wire::DrainRequest request;
-  try {
-    request = wire::decode_drain_request(frame.payload);
-  } catch (const common::SerializationError& error) {
-    core::counters().add("serve.router.malformed_frames", 1);
-    send_error(socket, wire::ErrorCode::kMalformedFrame, error.what());
-    return;
+wire::RefreshReply Router::broadcast_refresh(const wire::Frame& frame) {
+  wire::RefreshReply aggregate;
+  broadcast(frame, "refresh", [&](Backend& backend, const wire::Frame& reply) {
+    if (reply.type != wire::MessageType::kRefreshReply) return false;
+    const auto decoded = wire::decode<wire::RefreshReply>(reply.payload);
+    aggregate.refreshed = aggregate.refreshed || decoded.refreshed;
+    aggregate.generation = std::max(aggregate.generation, decoded.generation);
+    backend.generation.store(decoded.generation);
+    return true;
+  });
+  return aggregate;
+}
+
+wire::CanaryAdminReply Router::broadcast_canary_admin(const wire::Frame& frame) {
+  // Canary staging happens per shard, and the operator addressing the mesh
+  // means "resolve the canary wherever one is staged". The payload
+  // (already decoded, so well-formed) is relayed verbatim so an explicit
+  // generation keeps its exactly-once meaning end to end.
+  wire::CanaryAdminReply aggregate;
+  std::string refusal;
+  const char* const verb = frame.type == wire::MessageType::kPromote ? "promote" : "rollback";
+  broadcast(frame, verb, [&](Backend& backend, const wire::Frame& reply) {
+    if (reply.type == wire::MessageType::kError) {
+      // A shard with no (or a different) staged candidate refuses with a
+      // typed BadRequest — expected under broadcast; remember the reason in
+      // case EVERY shard refuses.
+      const auto error = wire::decode<wire::ErrorFrame>(reply.payload);
+      refusal = "shard '" + backend.name + "': " + error.message;
+      return true;
+    }
+    if (reply.type != wire::reply_type(frame.type)) return false;
+    const auto decoded = wire::decode<wire::CanaryAdminReply>(reply.payload);
+    aggregate.applied = aggregate.applied || decoded.applied;
+    aggregate.generation = std::max(aggregate.generation, decoded.generation);
+    backend.generation.store(decoded.generation);
+    return true;
+  });
+  if (!aggregate.applied && !refusal.empty()) {
+    // Every reachable shard refused — surface the last refusal typed, so a
+    // mistyped generation fails loudly instead of reading as a silent no-op.
+    throw common::PreconditionError(refusal);
   }
+  return aggregate;
+}
+
+wire::DrainReply Router::handle_drain(const wire::DrainRequest& request) {
   wire::DrainReply reply;
   reply.drained = drain(request.shard);
   reply.message = reply.drained ? "shard '" + request.shard + "' drained"
                                 : "no shard '" + request.shard + "' on the ring";
-  wire::send_frame(socket, wire::MessageType::kDrainReply,
-                   wire::encode_drain_reply(reply));
+  return reply;
 }
 
 bool Router::dispatch(common::Socket& socket, const wire::Frame& frame) {
   switch (frame.type) {
     case wire::MessageType::kScore:
     case wire::MessageType::kScoreLatest:
-      handle_entity_forward(socket, frame, /*retryable=*/true);
-      return true;
     case wire::MessageType::kIngest:
-      // Appends are not idempotent — never replayed by the forward channel.
-      handle_entity_forward(socket, frame, /*retryable=*/false);
+      serve_verb(socket, frame, wire::peek_score_entity, [&](const std::string& entity) {
+        // Appends are not idempotent — never replayed by the forward channel.
+        return forward_entity(frame, entity,
+                              /*retryable=*/frame.type != wire::MessageType::kIngest);
+      });
       return true;
     case wire::MessageType::kStats:
-      handle_stats(socket);
+      answer(socket, frame, [this] { return handle_stats(); });
       return true;
     case wire::MessageType::kHealth:
-      handle_health(socket);
+      answer(socket, frame, [this] { return handle_health(); });
       return true;
     case wire::MessageType::kRefresh:
-      handle_refresh(socket);
+      answer(socket, frame, [&] { return broadcast_refresh(frame); });
       return true;
     case wire::MessageType::kPromote:
     case wire::MessageType::kRollback:
-      handle_canary_admin(socket, frame);
+      // Decoded here, before any shard sees it: a malformed admin payload
+      // is the router's malformed-frame, never a broadcast.
+      serve_verb(socket, frame, wire::decode<wire::CanaryAdminRequest>,
+                 [&](const wire::CanaryAdminRequest&) { return broadcast_canary_admin(frame); });
       return true;
     case wire::MessageType::kDrain:
-      handle_drain(socket, frame);
+      serve_verb(socket, frame, wire::decode<wire::DrainRequest>,
+                 [this](const wire::DrainRequest& request) { return handle_drain(request); });
       return true;
     case wire::MessageType::kShutdown:
       wire::send_frame(socket, wire::MessageType::kShutdownReply, {});
@@ -420,7 +360,7 @@ void Router::probe_loop() {
           throw common::SerializationError(
               std::string("probe got ") + wire::to_string(reply.type));
         }
-        const wire::HealthReply health = wire::decode_health_reply(reply.payload);
+        const auto health = wire::decode<wire::HealthReply>(reply.payload);
         backend->generation.store(health.generation);
         backend->healthy.store(true);
         if (!was_healthy) {

@@ -128,24 +128,33 @@ class Router final : public FrameServer {
   class InFlightGuard;
 
   Backend* acquire_backend(std::string_view entity, std::string& owner_out);
-  /// Entity-keyed forwarding shared by Score, Ingest and ScoreLatest: peek
-  /// the entity (every such payload leads with it), pick the owning shard,
-  /// relay the payload byte-for-byte. `retryable` is per-verb: Score and
-  /// ScoreLatest replay safely on a fresh connection, Ingest must NOT (an
-  /// append is not idempotent — a torn connection cannot tell "lost before
-  /// the append" from "lost after", so the failure surfaces to the client).
-  void handle_entity_forward(common::Socket& socket, const wire::Frame& frame,
+  /// Entity-keyed forwarding shared by Score, Ingest and ScoreLatest: pick
+  /// the shard owning `entity` (every such payload leads with it) and relay
+  /// the payload byte-for-byte, returning the shard's reply frame.
+  /// `retryable` is per-verb: Score and ScoreLatest replay safely on a fresh
+  /// connection, Ingest must NOT (an append is not idempotent — a torn
+  /// connection cannot tell "lost before the append" from "lost after", so
+  /// the failure surfaces to the client).
+  wire::Frame forward_entity(const wire::Frame& frame, const std::string& entity,
                              bool retryable);
-  void handle_stats(common::Socket& socket);
-  void handle_health(common::Socket& socket);
-  void handle_refresh(common::Socket& socket);
-  /// Promote/Rollback broadcast: forwarded to every non-draining shard
-  /// verbatim. Shards without a matching staged candidate answer a typed
-  /// BadRequest, which the aggregate skips — "applied" means at least one
-  /// shard resolved its canary. All-refused relays the refusal; nothing
-  /// reachable stays kUnavailable.
-  void handle_canary_admin(common::Socket& socket, const wire::Frame& frame);
-  void handle_drain(common::Socket& socket, const wire::Frame& frame);
+  wire::StatsSnapshot handle_stats() const;
+  wire::HealthReply handle_health() const;
+  /// Relays `frame` to every non-draining shard (retryable) and hands each
+  /// reply to `on_reply(backend, reply)`, which says whether that shard
+  /// counts as reached. Best-effort per shard: one shard's failure is
+  /// counted (serve.router.<verb>_failures) and logged, so a broadcast never
+  /// fails wholesale because one shard is mid-restart. Throws VerbError
+  /// (unavailable) when no shard was reached.
+  template <class OnReply>
+  void broadcast(const wire::Frame& frame, const char* verb, OnReply on_reply);
+  /// Refresh broadcast: the reply aggregates the shards' answers.
+  wire::RefreshReply broadcast_refresh(const wire::Frame& frame);
+  /// Promote/Rollback broadcast. Shards without a matching staged candidate
+  /// answer a typed BadRequest, which the aggregate skips — "applied" means
+  /// at least one shard resolved its canary. All-refused relays the
+  /// refusal as bad-request.
+  wire::CanaryAdminReply broadcast_canary_admin(const wire::Frame& frame);
+  wire::DrainReply handle_drain(const wire::DrainRequest& request);
   void probe_loop();
 
   RouterConfig config_;

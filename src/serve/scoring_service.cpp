@@ -86,7 +86,6 @@ ScoringService::ScoringService(ServingModel model, ScoringServiceConfig config)
     : tracker_(config.canary),
       pool_(std::make_unique<common::ThreadPool>(config.threads)),
       precision_(config.precision) {
-  GO_EXPECTS(config.precision != nn::Precision::kMixed);
   snapshot_.store(std::make_shared<const Snapshot>(std::move(model)),
                   std::memory_order_release);
 }

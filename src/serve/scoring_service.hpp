@@ -102,8 +102,7 @@ struct ScoringServiceConfig {
   /// for the vectorized polynomial kernels (few-ulp forecasts, see
   /// docs/BENCHMARKS.md for measured detection-metric deltas). Detector
   /// scoring and thresholds are unaffected — only the forecaster lane
-  /// changes. kMixed is not supported here (it needs per-model mirror
-  /// state the service does not manage).
+  /// changes.
   nn::Precision precision = nn::Precision::kDouble;
   /// Sampling rate and promote/rollback policy for candidate generations.
   /// Inert until install_candidate() arms a canary.

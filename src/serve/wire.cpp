@@ -1,11 +1,9 @@
 #include "serve/wire.hpp"
 
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
-#include "nn/serialize.hpp"
 
 namespace goodones::serve::wire {
 
@@ -26,37 +24,268 @@ std::uint64_t get_u64(const char* in) {
   return v;
 }
 
-/// Reads a u32 that must fall in [0, max]; names `what` on violation.
-std::uint32_t read_bounded_u32(std::istream& in, std::uint32_t max, const char* what) {
-  const std::uint32_t value = nn::read_u32(in, what);
-  if (value > max) {
-    throw common::SerializationError(std::string("wire: ") + what + " out of range: " +
-                                     std::to_string(value));
-  }
-  return value;
+[[noreturn]] void corrupt(const std::string& message) {
+  throw common::SerializationError("wire: " + message);
 }
 
-/// All payloads must be consumed exactly; trailing bytes mean the peer and
-/// we disagree about the layout — corrupt, not ignorable.
-void expect_consumed(std::istream& in, const char* what) {
-  if (in.peek() != std::char_traits<char>::eof()) {
-    throw common::SerializationError(std::string("wire: trailing bytes after ") + what);
+/// Caps shared with every persisted artifact (nn/serialize.cpp): strings
+/// are names and labels, and one matrix holds at most 2^26 doubles.
+constexpr std::uint32_t kMaxStringBytes = 1u << 20;
+constexpr std::uint64_t kMaxMatrixElements = 1ull << 26;
+/// ScoreLatest's count and seq_len: beyond this no request is legitimate,
+/// and the cap keeps a hostile frame from driving giant allocations.
+constexpr std::uint64_t kMaxLatest = 1ull << 20;
+
+// A field list is `template <class IO> void fields(IO& io, Message& m)`:
+// one call per wire field, in wire order. The Writer and the Reader below
+// give the same calls their two meanings, so a layout is written once.
+// Writers only read the message (encode() hands them a const_cast).
+
+/// Encodes into a caller-sized span. With a null span it only counts, so
+/// encode() sizes the payload exactly in a first pass and then fills it.
+class Writer {
+ public:
+  explicit Writer(char* out) : out_(out) {}
+  std::size_t size() const noexcept { return size_; }
+
+  template <class U>
+  void u64(const U& v, const char* /*what*/, std::uint64_t /*max*/ = ~0ull) {
+    put_scalar(static_cast<std::uint64_t>(v));
   }
+  void f64(const double& v, const char* /*what*/) { put_scalar(v); }
+  void flag(const bool& v, const char* /*what*/) { put_scalar(std::uint32_t{v ? 1u : 0u}); }
+  /// An enum as a u32 code in [lo, hi].
+  template <class E>
+  void code(const E& v, const char* /*what*/, std::uint32_t /*lo*/, std::uint32_t /*hi*/) {
+    put_scalar(static_cast<std::uint32_t>(v));
+  }
+  /// An enum as one byte in [0, hi].
+  template <class E>
+  void byte_code(const E& v, const char* /*what*/, std::uint8_t /*hi*/) {
+    put_scalar(static_cast<std::uint8_t>(v));
+  }
+  void str(const std::string& s, const char* /*what*/) {
+    put_scalar(static_cast<std::uint32_t>(s.size()));
+    put(s.data(), s.size());
+  }
+  void matrix(const nn::Matrix& m, const char* /*what*/) {
+    put_scalar(static_cast<std::uint32_t>(m.rows()));
+    put_scalar(static_cast<std::uint32_t>(m.cols()));
+    put(m.data(), m.size() * sizeof(double));
+  }
+  /// A u64 element count, then each element's own fields.
+  template <class T, class Fields>
+  void seq(const std::vector<T>& v, const char* /*what*/, std::size_t /*min_bytes*/,
+           Fields&& element) {
+    put_scalar(static_cast<std::uint64_t>(v.size()));
+    for (const T& e : v) element(const_cast<T&>(e));
+  }
+  void check(bool /*ok*/, const char* /*what*/) {}
+
+ private:
+  template <class T>
+  void put_scalar(T v) {
+    put(&v, sizeof(v));
+  }
+  void put(const void* data, std::size_t n) {
+    if (out_ != nullptr && n > 0) std::memcpy(out_ + size_, data, n);
+    size_ += n;
+  }
+
+  char* out_;
+  std::size_t size_ = 0;
+};
+
+/// Decodes from a span, bounds-checking every read against the bytes left.
+class Reader {
+ public:
+  explicit Reader(std::string_view in) : at_(in.data()), end_(in.data() + in.size()) {}
+
+  template <class U>
+  void u64(U& v, const char* what, std::uint64_t max = ~0ull) {
+    const auto raw = take_scalar<std::uint64_t>(what);
+    if (raw > max) corrupt(std::string(what) + " out of range: " + std::to_string(raw));
+    v = static_cast<U>(raw);
+  }
+  void f64(double& v, const char* what) { v = take_scalar<double>(what); }
+  void flag(bool& v, const char* what) {
+    std::uint32_t raw = 0;
+    code(raw, what, 0, 1);
+    v = raw == 1;
+  }
+  template <class E>
+  void code(E& v, const char* what, std::uint32_t lo, std::uint32_t hi) {
+    const auto raw = take_scalar<std::uint32_t>(what);
+    if (raw < lo || raw > hi) {
+      corrupt(std::string(what) + " out of range: " + std::to_string(raw));
+    }
+    v = static_cast<E>(raw);
+  }
+  template <class E>
+  void byte_code(E& v, const char* what, std::uint8_t hi) {
+    const auto raw = take_scalar<std::uint8_t>(what);
+    if (raw > hi) corrupt(std::string(what) + " out of range: " + std::to_string(raw));
+    v = static_cast<E>(raw);
+  }
+  void str(std::string& s, const char* what) {
+    const auto size = take_scalar<std::uint32_t>(what);
+    if (size > kMaxStringBytes) corrupt(std::string("implausible length for ") + what);
+    s.assign(take(size, what), size);
+  }
+  void matrix(nn::Matrix& m, const char* what) {
+    const auto rows = take_scalar<std::uint32_t>(what);
+    const auto cols = take_scalar<std::uint32_t>(what);
+    // u32 x u32 cannot wrap in 64 bits; the element cap then bounds the
+    // byte count far below any overflow.
+    if (std::uint64_t{rows} * cols > kMaxMatrixElements) {
+      corrupt(std::string("implausible matrix shape for ") + what);
+    }
+    const char* body = take(std::size_t{rows} * cols * sizeof(double), what);
+    m = nn::Matrix(rows, cols);
+    if (m.size() > 0) std::memcpy(m.data(), body, m.size() * sizeof(double));
+  }
+  /// Every element costs at least `min_bytes` of payload, so a count the
+  /// bytes left cannot hold is corrupt before anything is allocated.
+  template <class T, class Fields>
+  void seq(std::vector<T>& v, const char* what, std::size_t min_bytes, Fields&& element) {
+    const auto count = take_scalar<std::uint64_t>(what);
+    if (count > left() / min_bytes) {
+      corrupt(std::string(what) + " count " + std::to_string(count) +
+              " exceeds the payload size");
+    }
+    v.resize(static_cast<std::size_t>(count));
+    for (T& e : v) element(e);
+  }
+  void check(bool ok, const char* what) {
+    if (!ok) corrupt(what);
+  }
+  /// All payloads must be consumed exactly; trailing bytes mean the peer
+  /// and we disagree about the layout — corrupt, not ignorable.
+  void finish() {
+    if (left() != 0) corrupt("trailing bytes after the payload's last field");
+  }
+
+ private:
+  std::size_t left() const noexcept { return static_cast<std::size_t>(end_ - at_); }
+  const char* take(std::size_t n, const char* what) {
+    if (n > left()) corrupt(std::string("payload truncated while reading ") + what);
+    const char* at = at_;
+    at_ += n;
+    return at;
+  }
+  template <class T>
+  T take_scalar(const char* what) {
+    T v;
+    std::memcpy(&v, take(sizeof(T), what), sizeof(T));
+    return v;
+  }
+
+  const char* at_;
+  const char* end_;
+};
+
+// --- field lists (the layouts of docs/PROTOCOL.md) ---------------------------
+
+template <class IO>
+void fields(IO& io, ScoreRequest& m) {
+  io.str(m.entity, "score request entity");
+  io.seq(m.windows, "score request window", 12, [&](TelemetryWindow& w) {
+    io.code(w.regime, "window regime", 0, 1);
+    io.matrix(w.features, "window features");
+  });
 }
 
-/// Guards attacker-controlled element counts before any reserve/allocation:
-/// every encoded element costs at least one payload byte, so a count
-/// exceeding the payload size is corrupt by construction (and must surface
-/// as the typed SerializationError, never std::length_error/bad_alloc).
-std::size_t checked_count(std::uint64_t count, const std::string& payload,
-                          const char* what) {
-  if (count > payload.size()) {
-    throw common::SerializationError(std::string("wire: ") + what + " count " +
-                                     std::to_string(count) +
-                                     " exceeds the payload size");
-  }
-  return static_cast<std::size_t>(count);
+template <class IO>
+void fields(IO& io, ScoreResponse& m) {
+  io.u64(m.entity_index, "score response entity index");
+  io.code(m.cluster, "response cluster", 0, 1);
+  io.u64(m.generation, "score response generation");
+  io.seq(m.windows, "score response window", 44, [&](WindowScore& w) {
+    io.f64(w.forecast, "window forecast");
+    io.f64(w.residual, "window residual");
+    io.code(w.observed_state, "observed state", 0, 2);
+    io.code(w.predicted_state, "predicted state", 0, 2);
+    io.f64(w.anomaly_score, "window anomaly score");
+    io.flag(w.flagged, "window flag");
+    io.f64(w.risk, "window risk");
+  });
 }
+
+template <class IO>
+void fields(IO& io, StatsSnapshot& m) {
+  io.seq(m, "stats entry", 12, [&](std::pair<std::string, std::uint64_t>& entry) {
+    io.str(entry.first, "stats counter name");
+    io.u64(entry.second, "stats counter value");
+  });
+}
+
+template <class IO>
+void fields(IO& io, RefreshReply& m) {
+  io.flag(m.refreshed, "refresh flag");
+  io.u64(m.generation, "refresh generation");
+}
+
+template <class IO>
+void fields(IO& io, ErrorFrame& m) {
+  io.code(m.code, "error code", static_cast<std::uint32_t>(ErrorCode::kMalformedFrame),
+          static_cast<std::uint32_t>(ErrorCode::kUnavailable));
+  io.str(m.message, "error message");
+}
+
+template <class IO>
+void fields(IO& io, HealthReply& m) {
+  io.flag(m.draining, "health draining flag");
+  io.u64(m.generation, "health generation");
+}
+
+template <class IO>
+void fields(IO& io, DrainRequest& m) {
+  io.str(m.shard, "drain shard name");
+}
+
+template <class IO>
+void fields(IO& io, DrainReply& m) {
+  io.flag(m.drained, "drain flag");
+  io.str(m.message, "drain message");
+}
+
+template <class IO>
+void fields(IO& io, IngestRequest& m) {
+  io.str(m.entity, "ingest entity");
+  io.matrix(m.ticks, "ingest ticks");
+  io.seq(m.regimes, "ingest regime", 1, [&](data::Regime& r) {
+    io.byte_code(r, "ingest regime", static_cast<std::uint8_t>(data::Regime::kActive));
+  });
+  io.check(m.regimes.size() <= kMaxMatrixElements, "implausible length for ingest regimes");
+  io.check(m.regimes.size() == m.ticks.rows(), "ingest regime count disagrees with tick count");
+}
+
+template <class IO>
+void fields(IO& io, IngestReply& m) {
+  io.u64(m.accepted, "ingest accepted count");
+  io.u64(m.total_ticks, "ingest total ticks");
+}
+
+template <class IO>
+void fields(IO& io, ScoreLatestRequest& m) {
+  io.str(m.entity, "score-latest entity");
+  io.u64(m.count, "score-latest window count", kMaxLatest);
+  io.u64(m.seq_len, "score-latest seq_len", kMaxLatest);
+}
+
+template <class IO>
+void fields(IO& io, CanaryAdminRequest& m) {
+  io.u64(m.generation, "canary admin generation");
+}
+
+template <class IO>
+void fields(IO& io, CanaryAdminReply& m) {
+  io.flag(m.applied, "canary admin applied flag");
+  io.u64(m.generation, "canary admin reply generation");
+}
+
+template <class IO>
+void fields(IO& /*io*/, Empty& /*m*/) {}
 
 }  // namespace
 
@@ -109,334 +338,52 @@ std::optional<Frame> recv_frame(common::Socket& socket) {
   return frame;
 }
 
-std::string encode_score_request(const ScoreRequest& request) {
-  std::ostringstream out;
-  nn::write_string(out, request.entity);
-  nn::write_u64(out, request.windows.size());
-  for (const TelemetryWindow& window : request.windows) {
-    nn::write_u32(out, static_cast<std::uint32_t>(window.regime));
-    nn::write_matrix(out, window.features);
-  }
-  return std::move(out).str();
+template <class Message>
+std::string encode(const Message& message) {
+  auto& fields_of = const_cast<Message&>(message);
+  Writer sizer(nullptr);
+  fields(sizer, fields_of);
+  std::string payload(sizer.size(), '\0');
+  Writer writer(payload.data());
+  fields(writer, fields_of);
+  return payload;
 }
 
-ScoreRequest decode_score_request(const std::string& payload) {
-  std::istringstream in(payload);
-  ScoreRequest request;
-  request.entity = nn::read_string(in, "score request entity");
-  const std::size_t count = checked_count(
-      nn::read_u64(in, "score request window count"), payload, "score request window");
-  request.windows.reserve(count);
-  for (std::size_t w = 0; w < count; ++w) {
-    TelemetryWindow window;
-    window.regime = static_cast<data::Regime>(read_bounded_u32(in, 1, "window regime"));
-    window.features = nn::read_matrix(in);
-    request.windows.push_back(std::move(window));
-  }
-  expect_consumed(in, "score request");
-  return request;
+template <class Message>
+Message decode(std::string_view payload) {
+  Message message;
+  Reader reader(payload);
+  fields(reader, message);
+  reader.finish();
+  return message;
 }
 
-std::string encode_score_response(const ScoreResponse& response) {
-  std::ostringstream out;
-  nn::write_u64(out, response.entity_index);
-  nn::write_u32(out, static_cast<std::uint32_t>(response.cluster));
-  nn::write_u64(out, response.generation);
-  nn::write_u64(out, response.windows.size());
-  for (const WindowScore& score : response.windows) {
-    nn::write_f64(out, score.forecast);
-    nn::write_f64(out, score.residual);
-    nn::write_u32(out, static_cast<std::uint32_t>(score.observed_state));
-    nn::write_u32(out, static_cast<std::uint32_t>(score.predicted_state));
-    nn::write_f64(out, score.anomaly_score);
-    nn::write_u32(out, score.flagged ? 1 : 0);
-    nn::write_f64(out, score.risk);
-  }
-  return std::move(out).str();
-}
+#define GOODONES_WIRE_CODEC(Message)                    \
+  template std::string encode<Message>(const Message&); \
+  template Message decode<Message>(std::string_view);
+GOODONES_WIRE_CODEC(ScoreRequest)
+GOODONES_WIRE_CODEC(ScoreResponse)
+GOODONES_WIRE_CODEC(StatsSnapshot)
+GOODONES_WIRE_CODEC(RefreshReply)
+GOODONES_WIRE_CODEC(ErrorFrame)
+GOODONES_WIRE_CODEC(HealthReply)
+GOODONES_WIRE_CODEC(DrainRequest)
+GOODONES_WIRE_CODEC(DrainReply)
+GOODONES_WIRE_CODEC(IngestRequest)
+GOODONES_WIRE_CODEC(IngestReply)
+GOODONES_WIRE_CODEC(ScoreLatestRequest)
+GOODONES_WIRE_CODEC(CanaryAdminRequest)
+GOODONES_WIRE_CODEC(CanaryAdminReply)
+GOODONES_WIRE_CODEC(Empty)
+#undef GOODONES_WIRE_CODEC
 
-ScoreResponse decode_score_response(const std::string& payload) {
-  std::istringstream in(payload);
-  ScoreResponse response;
-  response.entity_index =
-      static_cast<std::size_t>(nn::read_u64(in, "score response entity index"));
-  response.cluster = static_cast<Cluster>(read_bounded_u32(in, 1, "response cluster"));
-  response.generation = nn::read_u64(in, "score response generation");
-  const std::size_t count =
-      checked_count(nn::read_u64(in, "score response window count"), payload,
-                    "score response window");
-  response.windows.reserve(count);
-  for (std::size_t w = 0; w < count; ++w) {
-    WindowScore score;
-    score.forecast = nn::read_f64(in, "window forecast");
-    score.residual = nn::read_f64(in, "window residual");
-    score.observed_state =
-        static_cast<data::StateLabel>(read_bounded_u32(in, 2, "observed state"));
-    score.predicted_state =
-        static_cast<data::StateLabel>(read_bounded_u32(in, 2, "predicted state"));
-    score.anomaly_score = nn::read_f64(in, "window anomaly score");
-    score.flagged = read_bounded_u32(in, 1, "window flag") == 1;
-    score.risk = nn::read_f64(in, "window risk");
-    response.windows.push_back(score);
-  }
-  expect_consumed(in, "score response");
-  return response;
-}
-
-std::string encode_stats(const StatsSnapshot& stats) {
-  std::ostringstream out;
-  nn::write_u64(out, stats.size());
-  for (const auto& [name, value] : stats) {
-    nn::write_string(out, name);
-    nn::write_u64(out, value);
-  }
-  return std::move(out).str();
-}
-
-StatsSnapshot decode_stats(const std::string& payload) {
-  std::istringstream in(payload);
-  const std::size_t count =
-      checked_count(nn::read_u64(in, "stats count"), payload, "stats entry");
-  StatsSnapshot stats;
-  stats.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string name = nn::read_string(in, "stats counter name");
-    const std::uint64_t value = nn::read_u64(in, "stats counter value");
-    stats.emplace_back(std::move(name), value);
-  }
-  expect_consumed(in, "stats");
-  return stats;
-}
-
-std::string encode_refresh_reply(const RefreshReply& reply) {
-  std::ostringstream out;
-  nn::write_u32(out, reply.refreshed ? 1 : 0);
-  nn::write_u64(out, reply.generation);
-  return std::move(out).str();
-}
-
-RefreshReply decode_refresh_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  RefreshReply reply;
-  reply.refreshed = read_bounded_u32(in, 1, "refresh flag") == 1;
-  reply.generation = nn::read_u64(in, "refresh generation");
-  expect_consumed(in, "refresh reply");
-  return reply;
-}
-
-std::string encode_error(const ErrorFrame& error) {
-  std::ostringstream out;
-  nn::write_u32(out, static_cast<std::uint32_t>(error.code));
-  nn::write_string(out, error.message);
-  return std::move(out).str();
-}
-
-ErrorFrame decode_error(const std::string& payload) {
-  std::istringstream in(payload);
-  ErrorFrame error;
-  const std::uint32_t code = read_bounded_u32(
-      in, static_cast<std::uint32_t>(ErrorCode::kUnavailable), "error code");
-  if (code == 0) throw common::SerializationError("wire: error code out of range: 0");
-  error.code = static_cast<ErrorCode>(code);
-  error.message = nn::read_string(in, "error message");
-  expect_consumed(in, "error frame");
-  return error;
-}
-
-std::string encode_health_reply(const HealthReply& reply) {
-  std::ostringstream out;
-  nn::write_u32(out, reply.draining ? 1 : 0);
-  nn::write_u64(out, reply.generation);
-  return std::move(out).str();
-}
-
-HealthReply decode_health_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  HealthReply reply;
-  reply.draining = read_bounded_u32(in, 1, "health draining flag") == 1;
-  reply.generation = nn::read_u64(in, "health generation");
-  expect_consumed(in, "health reply");
-  return reply;
-}
-
-std::string encode_drain_request(const DrainRequest& request) {
-  std::ostringstream out;
-  nn::write_string(out, request.shard);
-  return std::move(out).str();
-}
-
-DrainRequest decode_drain_request(const std::string& payload) {
-  std::istringstream in(payload);
-  DrainRequest request;
-  request.shard = nn::read_string(in, "drain shard name");
-  expect_consumed(in, "drain request");
-  return request;
-}
-
-std::string encode_drain_reply(const DrainReply& reply) {
-  std::ostringstream out;
-  nn::write_u32(out, reply.drained ? 1 : 0);
-  nn::write_string(out, reply.message);
-  return std::move(out).str();
-}
-
-DrainReply decode_drain_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  DrainReply reply;
-  reply.drained = read_bounded_u32(in, 1, "drain flag") == 1;
-  reply.message = nn::read_string(in, "drain message");
-  expect_consumed(in, "drain reply");
-  return reply;
-}
-
-std::string encode_ingest_request(const IngestRequest& request) {
-  std::ostringstream out;
-  nn::write_string(out, request.entity);
-  nn::write_matrix(out, request.ticks);
-  std::vector<std::uint8_t> regimes;
-  regimes.reserve(request.regimes.size());
-  for (const data::Regime r : request.regimes) {
-    regimes.push_back(static_cast<std::uint8_t>(r));
-  }
-  nn::write_u8_vector(out, regimes);
-  return std::move(out).str();
-}
-
-IngestRequest decode_ingest_request(const std::string& payload) {
-  std::istringstream in(payload);
-  IngestRequest request;
-  request.entity = nn::read_string(in, "ingest entity");
-  request.ticks = nn::read_matrix(in);
-  const std::vector<std::uint8_t> regimes = nn::read_u8_vector(in, "ingest regimes");
-  if (regimes.size() != request.ticks.rows()) {
-    throw common::SerializationError(
-        "wire: ingest regime count " + std::to_string(regimes.size()) +
-        " disagrees with tick count " + std::to_string(request.ticks.rows()));
-  }
-  request.regimes.reserve(regimes.size());
-  for (const std::uint8_t r : regimes) {
-    if (r > static_cast<std::uint8_t>(data::Regime::kActive)) {
-      throw common::SerializationError("wire: ingest regime out of range: " +
-                                       std::to_string(r));
-    }
-    request.regimes.push_back(static_cast<data::Regime>(r));
-  }
-  expect_consumed(in, "ingest request");
-  return request;
-}
-
-std::string encode_ingest_reply(const IngestReply& reply) {
-  std::ostringstream out;
-  nn::write_u64(out, reply.accepted);
-  nn::write_u64(out, reply.total_ticks);
-  return std::move(out).str();
-}
-
-IngestReply decode_ingest_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  IngestReply reply;
-  reply.accepted = nn::read_u64(in, "ingest accepted count");
-  reply.total_ticks = nn::read_u64(in, "ingest total ticks");
-  expect_consumed(in, "ingest reply");
-  return reply;
-}
-
-std::string encode_score_latest_request(const ScoreLatestRequest& request) {
-  std::ostringstream out;
-  nn::write_string(out, request.entity);
-  nn::write_u64(out, request.count);
-  nn::write_u64(out, request.seq_len);
-  return std::move(out).str();
-}
-
-ScoreLatestRequest decode_score_latest_request(const std::string& payload) {
-  std::istringstream in(payload);
-  ScoreLatestRequest request;
-  request.entity = nn::read_string(in, "score-latest entity");
-  // Protocol-level caps (2^20): a count or geometry beyond them cannot be a
-  // legitimate request, and bounding here keeps a hostile frame from
-  // driving giant downstream allocations.
-  constexpr std::uint64_t kMax = 1ull << 20;
-  request.count = nn::read_u64(in, "score-latest window count");
-  if (request.count > kMax) {
-    throw common::SerializationError("wire: score-latest window count out of range: " +
-                                     std::to_string(request.count));
-  }
-  request.seq_len = nn::read_u64(in, "score-latest seq_len");
-  if (request.seq_len > kMax) {
-    throw common::SerializationError("wire: score-latest seq_len out of range: " +
-                                     std::to_string(request.seq_len));
-  }
-  expect_consumed(in, "score-latest request");
-  return request;
-}
-
-std::string encode_promote_request(const PromoteRequest& request) {
-  std::ostringstream out;
-  nn::write_u64(out, request.generation);
-  return std::move(out).str();
-}
-
-PromoteRequest decode_promote_request(const std::string& payload) {
-  std::istringstream in(payload);
-  PromoteRequest request;
-  request.generation = nn::read_u64(in, "promote generation");
-  expect_consumed(in, "promote request");
-  return request;
-}
-
-std::string encode_promote_reply(const PromoteReply& reply) {
-  std::ostringstream out;
-  nn::write_u32(out, reply.applied ? 1 : 0);
-  nn::write_u64(out, reply.generation);
-  return std::move(out).str();
-}
-
-PromoteReply decode_promote_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  PromoteReply reply;
-  reply.applied = read_bounded_u32(in, 1, "promote applied flag") == 1;
-  reply.generation = nn::read_u64(in, "promote reply generation");
-  expect_consumed(in, "promote reply");
-  return reply;
-}
-
-std::string encode_rollback_request(const RollbackRequest& request) {
-  std::ostringstream out;
-  nn::write_u64(out, request.generation);
-  return std::move(out).str();
-}
-
-RollbackRequest decode_rollback_request(const std::string& payload) {
-  std::istringstream in(payload);
-  RollbackRequest request;
-  request.generation = nn::read_u64(in, "rollback generation");
-  expect_consumed(in, "rollback request");
-  return request;
-}
-
-std::string encode_rollback_reply(const RollbackReply& reply) {
-  std::ostringstream out;
-  nn::write_u32(out, reply.applied ? 1 : 0);
-  nn::write_u64(out, reply.generation);
-  return std::move(out).str();
-}
-
-RollbackReply decode_rollback_reply(const std::string& payload) {
-  std::istringstream in(payload);
-  RollbackReply reply;
-  reply.applied = read_bounded_u32(in, 1, "rollback applied flag") == 1;
-  reply.generation = nn::read_u64(in, "rollback reply generation");
-  expect_consumed(in, "rollback reply");
-  return reply;
-}
-
-std::string peek_score_entity(const std::string& payload) {
-  std::istringstream in(payload);
-  // Deliberately no expect_consumed: the windows after the name are the
-  // backend's to validate — the router routes on the name alone and
-  // forwards the payload bytes untouched.
-  return nn::read_string(in, "score request entity");
+std::string peek_score_entity(std::string_view payload) {
+  // Deliberately no finish(): the fields after the name are the backend's
+  // to validate — the router routes on the name alone and forwards the
+  // payload bytes untouched.
+  std::string entity;
+  Reader(payload).str(entity, "score request entity");
+  return entity;
 }
 
 const char* to_string(MessageType type) noexcept {

@@ -4,11 +4,12 @@
 //
 //   u32 magic ("GOW1")  u32 version  u32 type  u64 payload_len  payload
 //
-// built from the same little-endian stream primitives every persisted
-// artifact in the repo uses (nn/serialize.hpp), so doubles cross the wire
-// bit-exactly: a daemon verdict is bitwise-identical to the in-process
-// ScoringService verdict for the same bundle generation — the property
-// tests/serve_daemon_test.cpp pins. Malformed input (bad magic, unsupported
+// with payloads in the same little-endian layout conventions every
+// persisted artifact in the repo uses (nn/serialize.hpp): u32/u64 integers,
+// bit-copied f64s, u32-length-prefixed strings, u32 x u32 matrices. Doubles
+// cross the wire bit-exactly: a daemon verdict is bitwise-identical to the
+// in-process ScoringService verdict for the same bundle generation — the
+// property tests/serve_daemon_test.cpp pins. Malformed input (bad magic, unsupported
 // version, oversized or truncated payload, undecodable payload bytes)
 // throws the typed common::SerializationError; the daemon answers with an
 // Error frame and, for framing-level corruption, closes the connection
@@ -68,10 +69,10 @@ enum class MessageType : std::uint32_t {
   kIngestReply = 15,   ///< daemon -> client: IngestReply
   kScoreLatest = 16,      ///< client -> daemon: ScoreLatestRequest
   kScoreLatestReply = 17, ///< daemon -> client: ScoreResponse (same payload as kScoreReply)
-  kPromote = 18,          ///< client -> daemon: PromoteRequest (canary -> primary)
-  kPromoteReply = 19,     ///< daemon -> client: PromoteReply
-  kRollback = 20,         ///< client -> daemon: RollbackRequest (drop the canary)
-  kRollbackReply = 21,    ///< daemon -> client: RollbackReply
+  kPromote = 18,          ///< client -> daemon: CanaryAdminRequest (canary -> primary)
+  kPromoteReply = 19,     ///< daemon -> client: CanaryAdminReply
+  kRollback = 20,         ///< client -> daemon: CanaryAdminRequest (drop the canary)
+  kRollbackReply = 21,    ///< daemon -> client: CanaryAdminReply
 };
 
 enum class ErrorCode : std::uint32_t {
@@ -151,33 +152,26 @@ struct ScoreLatestRequest {
   std::uint64_t seq_len = 0;
 };
 
-/// Operator override of the canary policy: make the staged candidate the
-/// primary now. `generation` 0 addresses whatever candidate is staged; a
-/// non-zero generation must name the staged candidate (an unknown
+/// Operator override of the canary policy — the payload of both Promote
+/// (make the staged candidate the primary now) and Rollback (drop it,
+/// primary untouched). `generation` 0 addresses whatever candidate is
+/// staged; a non-zero generation must name the staged candidate (an unknown
 /// generation is answered with a BadRequest error frame). IDEMPOTENT and
-/// retry-safe: repeating a Promote that already succeeded answers
+/// retry-safe: repeating a call that already succeeded answers
 /// applied = false with the (unchanged) serving generation, so
-/// DaemonClient auto-retries it on a torn connection.
-struct PromoteRequest {
+/// DaemonClient auto-retries both verbs on a torn connection.
+struct CanaryAdminRequest {
   std::uint64_t generation = 0;
 };
 
-struct PromoteReply {
-  bool applied = false;          ///< true when THIS call performed the swap
+/// PromoteReply and RollbackReply payload.
+struct CanaryAdminReply {
+  bool applied = false;          ///< true when THIS call resolved the candidate
   std::uint64_t generation = 0;  ///< primary generation after the call
 };
 
-/// Operator override: drop the staged candidate without touching the
-/// primary. Same addressing and idempotency contract as PromoteRequest
-/// (a repeat answers applied = false; retry-safe).
-struct RollbackRequest {
-  std::uint64_t generation = 0;
-};
-
-struct RollbackReply {
-  bool applied = false;          ///< true when THIS call dropped a candidate
-  std::uint64_t generation = 0;  ///< primary generation after the call
-};
+/// Payload of Stats/Health/Refresh/Shutdown requests and of ShutdownReply.
+struct Empty {};
 
 /// Counter snapshot as served by a Stats round trip.
 using StatsSnapshot = std::vector<std::pair<std::string, std::uint64_t>>;
@@ -195,54 +189,38 @@ void send_frame(common::Socket& socket, MessageType type, std::string_view paylo
 /// bad-request instead of the connection dying as corrupt).
 std::optional<Frame> recv_frame(common::Socket& socket);
 
+/// Every request type's reply type is the next id (Score -> ScoreReply,
+/// Promote -> PromoteReply, ...); Error is the one reply outside the pattern.
+constexpr MessageType reply_type(MessageType request) noexcept {
+  return static_cast<MessageType>(static_cast<std::uint32_t>(request) + 1);
+}
+
 // --- payload codecs ----------------------------------------------------------
-// Encoders produce the payload bytes (no header); decoders throw
-// common::SerializationError on truncated or out-of-range payloads.
+// Each message's layout is ONE field list in wire.cpp: encoding, decoding,
+// range checks and trailing-byte rejection all come from it. Instantiated
+// for every payload struct above plus ScoreRequest, ScoreResponse and
+// StatsSnapshot. encode() produces the payload bytes (no header); decode()
+// throws common::SerializationError on truncated, out-of-range or
+// over-long payloads.
 
-std::string encode_score_request(const ScoreRequest& request);
-ScoreRequest decode_score_request(const std::string& payload);
+template <class Message>
+std::string encode(const Message& message);
+template <class Message>
+Message decode(std::string_view payload);
 
-std::string encode_score_response(const ScoreResponse& response);
-ScoreResponse decode_score_response(const std::string& payload);
-
-std::string encode_stats(const StatsSnapshot& stats);
-StatsSnapshot decode_stats(const std::string& payload);
-
-std::string encode_refresh_reply(const RefreshReply& reply);
-RefreshReply decode_refresh_reply(const std::string& payload);
-
-std::string encode_error(const ErrorFrame& error);
-ErrorFrame decode_error(const std::string& payload);
-
-std::string encode_health_reply(const HealthReply& reply);
-HealthReply decode_health_reply(const std::string& payload);
-
-std::string encode_drain_request(const DrainRequest& request);
-DrainRequest decode_drain_request(const std::string& payload);
-
-std::string encode_drain_reply(const DrainReply& reply);
-DrainReply decode_drain_reply(const std::string& payload);
-
-std::string encode_ingest_request(const IngestRequest& request);
-IngestRequest decode_ingest_request(const std::string& payload);
-
-std::string encode_ingest_reply(const IngestReply& reply);
-IngestReply decode_ingest_reply(const std::string& payload);
-
-std::string encode_score_latest_request(const ScoreLatestRequest& request);
-ScoreLatestRequest decode_score_latest_request(const std::string& payload);
-
-std::string encode_promote_request(const PromoteRequest& request);
-PromoteRequest decode_promote_request(const std::string& payload);
-
-std::string encode_promote_reply(const PromoteReply& reply);
-PromoteReply decode_promote_reply(const std::string& payload);
-
-std::string encode_rollback_request(const RollbackRequest& request);
-RollbackRequest decode_rollback_request(const std::string& payload);
-
-std::string encode_rollback_reply(const RollbackReply& reply);
-RollbackReply decode_rollback_reply(const std::string& payload);
+// Named forms of the streaming-path codecs (benchmarks time them by name).
+inline std::string encode_score_request(const ScoreRequest& m) { return encode(m); }
+inline ScoreRequest decode_score_request(std::string_view p) { return decode<ScoreRequest>(p); }
+inline std::string encode_score_response(const ScoreResponse& m) { return encode(m); }
+inline ScoreResponse decode_score_response(std::string_view p) { return decode<ScoreResponse>(p); }
+inline std::string encode_ingest_request(const IngestRequest& m) { return encode(m); }
+inline IngestRequest decode_ingest_request(std::string_view p) { return decode<IngestRequest>(p); }
+inline std::string encode_ingest_reply(const IngestReply& m) { return encode(m); }
+inline IngestReply decode_ingest_reply(std::string_view p) { return decode<IngestReply>(p); }
+inline std::string encode_score_latest_request(const ScoreLatestRequest& m) { return encode(m); }
+inline ScoreLatestRequest decode_score_latest_request(std::string_view p) {
+  return decode<ScoreLatestRequest>(p);
+}
 
 /// Reads ONLY the leading entity name out of a Score, Ingest or
 /// ScoreLatest payload (all three lead with the entity string) — all a
@@ -250,7 +228,7 @@ RollbackReply decode_rollback_reply(const std::string& payload);
 /// forwarded byte-for-byte untouched, which is what keeps mesh verdicts
 /// bitwise-identical to direct ones for free. Throws
 /// common::SerializationError when even the name is truncated.
-std::string peek_score_entity(const std::string& payload);
+std::string peek_score_entity(std::string_view payload);
 
 const char* to_string(MessageType type) noexcept;
 const char* to_string(ErrorCode code) noexcept;

@@ -385,11 +385,11 @@ TEST(ServeCanary, DaemonStagesPromotesAndReplaysBitwiseAcrossGenerations) {
   EXPECT_GT(gauge("serve.canary.window_total"), 0u);
 
   // Manual promote publishes the candidate; the duplicate is retry-safe.
-  const wire::PromoteReply promoted = client.promote();
+  const wire::CanaryAdminReply promoted = client.promote();
   EXPECT_TRUE(promoted.applied);
   EXPECT_EQ(promoted.generation, 1u);
   EXPECT_EQ(daemon.generation(), 1u);
-  const wire::PromoteReply duplicate = client.promote(1);
+  const wire::CanaryAdminReply duplicate = client.promote(1);
   EXPECT_FALSE(duplicate.applied);
   EXPECT_EQ(duplicate.generation, 1u);
 

@@ -310,7 +310,7 @@ TEST(ServeDaemon, MalformedFramesGetTypedErrorFramesNeverACrash) {
     const auto frame = wire::recv_frame(socket);
     if (!frame.has_value()) ADD_FAILURE() << "expected an error frame, got EOF";
     EXPECT_EQ(frame->type, wire::MessageType::kError);
-    return wire::decode_error(frame->payload);
+    return wire::decode<wire::ErrorFrame>(frame->payload);
   };
   const auto header = [](std::uint32_t magic, std::uint32_t version, std::uint32_t type,
                          std::uint64_t length) {
@@ -429,7 +429,7 @@ TEST(ServeDaemon, UnknownGenerationPromoteIsTypedBadRequestAndServingContinues) 
   // rollback naming an explicit generation is a no-op when the candidate is
   // already gone (the duplicate-promote half lives in serve_canary_test,
   // where a promote actually lands first).
-  const wire::RollbackReply gone = client.rollback(424242);
+  const wire::CanaryAdminReply gone = client.rollback(424242);
   EXPECT_FALSE(gone.applied);
   EXPECT_EQ(gone.generation, daemon.generation());
 

@@ -15,6 +15,8 @@
 //     names.
 //   * Drain: removing a shard from the ring in-band moves ONLY its keys to
 //     the survivor, in-flight work finishes, and the mesh keeps serving.
+//   * Malformed admin verbs: an undecodable Promote/Rollback is answered
+//     malformed-frame by the router itself and never broadcast to shards.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,8 +25,10 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -470,6 +474,85 @@ TEST(ServeMesh, DrainMovesOnlyTheDrainedShardsKeysAndKeepsServing) {
 
   // Draining the same shard again: no longer on the ring.
   EXPECT_FALSE(client.drain(kShardNames[0]).drained);
+
+  router.stop();
+  for (std::size_t s = 0; s < 2; ++s) {
+    shards[s]->stop();
+    std::filesystem::remove_all(roots[s]);
+  }
+}
+
+TEST(ServeMesh, MalformedCanaryAdminAnswersMalformedFrameAndNeverReachesShards) {
+  auto& fw = framework();
+  ServingModel bundle = build_serving_model(fw, detect::DetectorKind::kKnn);
+  const MeshPlan plan = mesh_plan(bundle.entity_names);
+
+  std::vector<std::unique_ptr<Daemon>> shards;
+  std::vector<std::filesystem::path> roots;
+  RouterConfig router_config;
+  for (std::size_t s = 0; s < 2; ++s) {
+    roots.push_back(unique_path("go_mesh_admin_s" + std::to_string(s), "_reg"));
+    std::filesystem::remove_all(roots[s]);
+    shards.push_back(std::make_unique<Daemon>(
+        slice_serving_model(bundle, plan.members[s]),
+        shard_config(roots[s], common::Endpoint::tcp("127.0.0.1", 0))));
+    shards[s]->start();
+    router_config.backends.push_back({kShardNames[s], shards[s]->endpoint()});
+  }
+  router_config.listen = common::Endpoint::tcp("127.0.0.1", 0);
+  router_config.vnodes = kVnodes;
+  router_config.health_interval_ms = 0;
+  router_config.accept_poll_ms = 20;
+  Router router(router_config);
+  router.start();
+
+  DaemonClient client(router.endpoint());
+  const wire::StatsSnapshot before = client.stats();
+
+  // A Promote/Rollback payload is exactly one u64; one byte short and one
+  // byte long are both undecodable. The router must reject them itself,
+  // exactly as a shard addressed directly would — not relay the corrupt
+  // bytes to every shard and report their refusals as bad-request.
+  const std::string generation_7("\x07\0\0\0\0\0\0\0", 8);
+  const std::pair<wire::MessageType, std::string> malformed[] = {
+      {wire::MessageType::kPromote, generation_7.substr(0, 4)},
+      {wire::MessageType::kRollback, generation_7 + '\0'},
+  };
+  common::Socket raw = common::connect_endpoint(router.endpoint());
+  raw.set_recv_timeout_ms(5000);
+  for (const auto& [type, payload] : malformed) {
+    wire::send_frame(raw, type, payload);
+    const std::optional<wire::Frame> reply = wire::recv_frame(raw);
+    ASSERT_TRUE(reply.has_value()) << wire::to_string(type);
+    ASSERT_EQ(reply->type, wire::MessageType::kError) << wire::to_string(type);
+    const auto error = wire::decode<wire::ErrorFrame>(reply->payload);
+    EXPECT_EQ(error.code, wire::ErrorCode::kMalformedFrame)
+        << wire::to_string(type) << ": " << error.message;
+  }
+  // The connection survives a malformed payload (frame boundaries intact).
+  wire::send_frame(raw, wire::MessageType::kHealth, {});
+  const std::optional<wire::Frame> health = wire::recv_frame(raw);
+  ASSERT_TRUE(health.has_value());
+  EXPECT_EQ(health->type, wire::MessageType::kHealthReply);
+
+  // Well-formed admin verbs still broadcast. No shard has a candidate
+  // staged: a bare Promote is refused everywhere (bad-request), an explicit
+  // Rollback is an idempotent no-op, and Refresh reaches both frozen shards.
+  EXPECT_THROW(client.promote(), common::PreconditionError);
+  const wire::CanaryAdminReply rolled_back = client.rollback(7);
+  EXPECT_FALSE(rolled_back.applied);
+  EXPECT_EQ(rolled_back.generation, 0u);
+  const wire::RefreshReply refreshed = client.refresh();
+  EXPECT_FALSE(refreshed.refreshed);
+  EXPECT_EQ(refreshed.generation, 0u);
+
+  const wire::StatsSnapshot after = client.stats();
+  EXPECT_EQ(value_of(after, "serve.router.malformed_frames") -
+                value_of(before, "serve.router.malformed_frames"),
+            2u);
+  EXPECT_EQ(value_of(after, "serve.daemon.malformed_frames"),
+            value_of(before, "serve.daemon.malformed_frames"))
+      << "the router relayed a malformed admin payload to the shards";
 
   router.stop();
   for (std::size_t s = 0; s < 2; ++s) {

@@ -10,10 +10,14 @@
 //     must never crash, never emit a malformed frame of its own, and never
 //     wedge (the test side reads with a receive timeout; the daemon must
 //     still serve a clean round trip after the whole barrage).
-//   * The payload codecs are fuzzed directly: a mutated payload may decode
-//     (mutation hit don't-care bytes) or throw the typed
-//     common::SerializationError — anything else (length_error, bad_alloc,
-//     a crash) fails the suite.
+//   * The payload codecs are pinned and fuzzed directly from one table with
+//     a sample of every message: each sample's exact payload bytes (the
+//     golden hex — the layout contract), exact decode/re-encode round
+//     trips, every decode bound (string and matrix caps, element counts,
+//     enum ranges, trailing bytes), and a mutation sweep in which a
+//     mutated payload may decode (mutation hit don't-care bytes) or throw
+//     the typed common::SerializationError — anything else (length_error,
+//     bad_alloc, a crash) fails the suite.
 //
 // Mutations are generated from a fixed splitmix64 seed: every CI run and
 // every local repro fuzzes the exact same byte streams. The suite runs in
@@ -25,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -108,22 +113,18 @@ ScoreRequest real_request() {
 /// The seeded corpus of well-formed frames the mutator starts from.
 std::vector<std::string> build_corpus() {
   std::vector<std::string> corpus;
-  corpus.push_back(frame_bytes(wire::MessageType::kScore,
-                               wire::encode_score_request(real_request())));
+  corpus.push_back(
+      frame_bytes(wire::MessageType::kScore, wire::encode(real_request())));
   corpus.push_back(frame_bytes(wire::MessageType::kStats, {}));
   corpus.push_back(frame_bytes(wire::MessageType::kHealth, {}));
   corpus.push_back(frame_bytes(wire::MessageType::kRefresh, {}));
-  wire::DrainRequest drain;
-  drain.shard = "shard-a";
   corpus.push_back(
-      frame_bytes(wire::MessageType::kDrain, wire::encode_drain_request(drain)));
-  wire::PromoteRequest promote;
-  promote.generation = 7;
-  corpus.push_back(
-      frame_bytes(wire::MessageType::kPromote, wire::encode_promote_request(promote)));
-  wire::RollbackRequest rollback;  // bare form: whatever is staged
-  corpus.push_back(
-      frame_bytes(wire::MessageType::kRollback, wire::encode_rollback_request(rollback)));
+      frame_bytes(wire::MessageType::kDrain, wire::encode(wire::DrainRequest{"shard-a"})));
+  corpus.push_back(frame_bytes(wire::MessageType::kPromote,
+                               wire::encode(wire::CanaryAdminRequest{7})));
+  // Bare form: whatever is staged.
+  corpus.push_back(frame_bytes(wire::MessageType::kRollback,
+                               wire::encode(wire::CanaryAdminRequest{0})));
   // A reply type a client should never send, and a type far outside the enum.
   corpus.push_back(frame_bytes(wire::MessageType::kScoreReply, "unexpected"));
   corpus.push_back(frame_bytes(static_cast<wire::MessageType>(0x7eadbeef), "future"));
@@ -266,95 +267,259 @@ TEST(WireFuzz, MutatedFramesNeverCrashOrWedgeEitherTransport) {
   std::filesystem::remove_all(unix_config.registry_root);
 }
 
-TEST(WireFuzz, PayloadCodecsThrowOnlyTypedErrors) {
-  const ScoreRequest request = real_request();
-  ScoreResponse response;
-  response.entity_index = 0;
-  response.cluster = Cluster::kLessVulnerable;
-  response.generation = 3;
-  response.windows.push_back(
-      {1.0, 2.0, data::StateLabel::kHigh, data::StateLabel::kNormal, 0.5, true, 0.25});
-
-  wire::StatsSnapshot stats{{"serve.daemon.scores", 41}, {"serve.router.shards", 2}};
-  wire::RefreshReply refresh{true, 7};
-  wire::ErrorFrame error{wire::ErrorCode::kUnavailable, "shard down"};
-  wire::HealthReply health{false, 9};
-  wire::DrainRequest drain_request{"shard-b"};
-  wire::DrainReply drain_reply{true, "drained"};
-  wire::IngestRequest ingest_request;
-  ingest_request.entity = request.entity;
-  ingest_request.ticks = nn::Matrix(5, request.windows.front().features.cols());
-  for (std::size_t t = 0; t < 5; ++t) {
-    for (std::size_t c = 0; c < ingest_request.ticks.cols(); ++c) {
-      ingest_request.ticks(t, c) = request.windows.front().features(0, c) + t;
-    }
+/// Lowercase hex of a byte string (the golden table's notation).
+std::string hex(const std::string& bytes) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::string out;
+  out.reserve(2 * bytes.size());
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
   }
-  ingest_request.regimes.assign(5, data::Regime::kActive);
-  wire::IngestReply ingest_reply{5, 25};
-  wire::ScoreLatestRequest latest_request{request.entity, 3, 12};
-  wire::PromoteRequest promote_request{11};
-  wire::PromoteReply promote_reply{true, 11};
-  wire::RollbackRequest rollback_request{0};
-  wire::RollbackReply rollback_reply{false, 4};
+  return out;
+}
 
-  struct Case {
-    std::string name;
-    std::string payload;
-    std::function<void(const std::string&)> decode;
+/// Hand-assembled payload bytes for the bound checks below.
+struct Bytes {
+  std::string data;
+  Bytes& u32(std::uint32_t v) { return raw(&v, sizeof(v)); }
+  Bytes& u64(std::uint64_t v) { return raw(&v, sizeof(v)); }
+  Bytes& f64(double v) { return raw(&v, sizeof(v)); }
+  Bytes& u8(std::uint8_t v) { return raw(&v, sizeof(v)); }
+  Bytes& str(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    data += s;
+    return *this;
+  }
+  Bytes& raw(const void* p, std::size_t n) {
+    data.append(static_cast<const char*>(p), n);
+    return *this;
+  }
+};
+
+/// One message of the protocol: its sample's encoded payload, a decode that
+/// re-encodes (so decode and encode are both pinned against the golden
+/// bytes), and the payload bytes every commit must produce for the sample.
+struct CodecCase {
+  std::string name;
+  std::string payload;
+  std::function<std::string(const std::string&)> reencode;
+  std::string golden_hex;
+  /// Byte offset of a matrix header inside the payload (0 = no matrix).
+  std::size_t matrix_at = 0;
+};
+
+template <class Message>
+CodecCase codec_case(std::string name, const Message& sample, std::string golden_hex,
+                     std::size_t matrix_at = 0) {
+  return {std::move(name), wire::encode(sample),
+          [](const std::string& p) { return wire::encode(wire::decode<Message>(p)); },
+          std::move(golden_hex), matrix_at};
+}
+
+/// Every payload layout of protocol version 1, one small deterministic
+/// sample each. The golden bytes are the layout contract of
+/// docs/PROTOCOL.md written out: changing any of them is a protocol change
+/// (and a kVersion bump), never a refactor.
+std::vector<CodecCase> codec_table() {
+  ScoreRequest score_request;
+  score_request.entity = "SA_0";
+  score_request.windows.push_back(
+      {nn::Matrix{{0.5, 1.0, 1.5}, {2.0, 2.5, 3.0}}, data::Regime::kActive});
+  score_request.windows.push_back({nn::Matrix{{-1.0, 0.0, 4.0}}, data::Regime::kBaseline});
+
+  ScoreResponse score_response;
+  score_response.entity_index = 2;
+  score_response.cluster = Cluster::kMoreVulnerable;
+  score_response.generation = 3;
+  score_response.windows.push_back(
+      {1.0, 2.0, data::StateLabel::kHigh, data::StateLabel::kNormal, 0.5, true, 0.25});
+  score_response.windows.push_back(
+      {-3.0, 0.125, data::StateLabel::kLow, data::StateLabel::kHigh, 8.0, false, 0.0});
+
+  wire::IngestRequest ingest_request;
+  ingest_request.entity = "SB_1";
+  ingest_request.ticks = nn::Matrix{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
+  ingest_request.regimes = {data::Regime::kActive, data::Regime::kBaseline,
+                            data::Regime::kActive};
+
+  const std::vector<CodecCase> cases = {
+      codec_case<ScoreRequest>("score_request", score_request,
+                               "04000000" "53415f30"  // entity
+                               "0200000000000000"     // u64 window count
+                               "01000000" "02000000" "03000000"  // regime, u32 rows, u32 cols
+                               "000000000000e03f" "000000000000f03f" "000000000000f83f"
+                               "0000000000000040" "0000000000000440" "0000000000000840"
+                               "00000000" "01000000" "03000000"
+                               "000000000000f0bf" "0000000000000000" "0000000000001040",
+                               4 + 4 + 8 + 4),
+      codec_case<ScoreResponse>("score_response", score_response,
+                                "0200000000000000" "01000000"  // entity index, cluster
+                                "0300000000000000" "0200000000000000"  // generation, count
+                                // forecast, residual, states, anomaly, flag, risk
+                                "000000000000f03f" "0000000000000040" "02000000" "01000000"
+                                "000000000000e03f" "01000000" "000000000000d03f"
+                                "00000000000008c0" "000000000000c03f" "00000000" "02000000"
+                                "0000000000002040" "00000000" "0000000000000000"),
+      codec_case<wire::StatsSnapshot>(
+          "stats", {{"serve.daemon.scores", 41}, {"serve.router.shards", 2}},
+          "0200000000000000"
+          "13000000" "73657276652e6461656d6f6e2e73636f726573" "2900000000000000"
+          "13000000" "73657276652e726f757465722e736861726473" "0200000000000000"),
+      codec_case<wire::RefreshReply>("refresh_reply", {true, 7}, "01000000" "0700000000000000"),
+      codec_case<wire::ErrorFrame>("error", {wire::ErrorCode::kUnavailable, "shard down"},
+                                   "05000000" "0a000000" "736861726420646f776e"),
+      codec_case<wire::HealthReply>("health_reply", {true, 9}, "01000000" "0900000000000000"),
+      codec_case<wire::DrainRequest>("drain_request", {"shard-b"}, "07000000" "73686172642d62"),
+      codec_case<wire::DrainReply>("drain_reply", {true, "drained"},
+                                   "01000000" "07000000" "647261696e6564"),
+      codec_case<wire::IngestRequest>("ingest_request", ingest_request,
+                                      "04000000" "53425f31"  // entity
+                                      "03000000" "02000000"  // u32 rows, u32 cols
+                                      "000000000000f03f" "0000000000000040"
+                                      "0000000000000840" "0000000000001040"
+                                      "0000000000001440" "0000000000001840"
+                                      "0300000000000000" "010001",  // u64 count, u8 regimes
+                                      4 + 4),
+      codec_case<wire::IngestReply>("ingest_reply", {5, 25}, "0500000000000000" "1900000000000000"),
+      codec_case<wire::ScoreLatestRequest>("score_latest_request", {"SA_0", 3, 12},
+                                           "04000000" "53415f30" "0300000000000000"
+                                           "0c00000000000000"),
+      codec_case<wire::CanaryAdminRequest>("promote_request", {11}, "0b00000000000000"),
+      codec_case<wire::CanaryAdminReply>("promote_reply", {true, 11},
+                                         "01000000" "0b00000000000000"),
+      codec_case<wire::CanaryAdminRequest>("rollback_request", {0}, "0000000000000000"),
+      codec_case<wire::CanaryAdminReply>("rollback_reply", {false, 4},
+                                         "00000000" "0400000000000000"),
   };
-  const std::vector<Case> cases = {
-      {"score_request", wire::encode_score_request(request),
-       [](const std::string& p) { (void)wire::decode_score_request(p); }},
-      {"score_response", wire::encode_score_response(response),
-       [](const std::string& p) { (void)wire::decode_score_response(p); }},
-      {"stats", wire::encode_stats(stats),
-       [](const std::string& p) { (void)wire::decode_stats(p); }},
-      {"refresh_reply", wire::encode_refresh_reply(refresh),
-       [](const std::string& p) { (void)wire::decode_refresh_reply(p); }},
-      {"error", wire::encode_error(error),
-       [](const std::string& p) { (void)wire::decode_error(p); }},
-      {"health_reply", wire::encode_health_reply(health),
-       [](const std::string& p) { (void)wire::decode_health_reply(p); }},
-      {"drain_request", wire::encode_drain_request(drain_request),
-       [](const std::string& p) { (void)wire::decode_drain_request(p); }},
-      {"drain_reply", wire::encode_drain_reply(drain_reply),
-       [](const std::string& p) { (void)wire::decode_drain_reply(p); }},
-      {"ingest_request", wire::encode_ingest_request(ingest_request),
-       [](const std::string& p) { (void)wire::decode_ingest_request(p); }},
-      {"ingest_reply", wire::encode_ingest_reply(ingest_reply),
-       [](const std::string& p) { (void)wire::decode_ingest_reply(p); }},
-      {"score_latest_request", wire::encode_score_latest_request(latest_request),
-       [](const std::string& p) { (void)wire::decode_score_latest_request(p); }},
-      {"promote_request", wire::encode_promote_request(promote_request),
-       [](const std::string& p) { (void)wire::decode_promote_request(p); }},
-      {"promote_reply", wire::encode_promote_reply(promote_reply),
-       [](const std::string& p) { (void)wire::decode_promote_reply(p); }},
-      {"rollback_request", wire::encode_rollback_request(rollback_request),
-       [](const std::string& p) { (void)wire::decode_rollback_request(p); }},
-      {"rollback_reply", wire::encode_rollback_reply(rollback_reply),
-       [](const std::string& p) { (void)wire::decode_rollback_reply(p); }},
-      {"peek_score_entity", wire::encode_score_request(request),
-       [](const std::string& p) { (void)wire::peek_score_entity(p); }},
-      {"peek_ingest_entity", wire::encode_ingest_request(ingest_request),
-       [](const std::string& p) { (void)wire::peek_score_entity(p); }},
-      {"peek_score_latest_entity", wire::encode_score_latest_request(latest_request),
-       [](const std::string& p) { (void)wire::peek_score_entity(p); }},
+  return cases;
+}
+
+const CodecCase& table_case(const std::vector<CodecCase>& table, const std::string& name) {
+  for (const CodecCase& c : table) {
+    if (c.name == name) return c;
+  }
+  throw std::out_of_range("no codec case " + name);
+}
+
+TEST(WireCodec, GoldenPayloadBytesAndExactRoundTrip) {
+  for (const CodecCase& codec : codec_table()) {
+    EXPECT_EQ(hex(codec.payload), codec.golden_hex) << codec.name;
+    EXPECT_EQ(codec.reencode(codec.payload), codec.payload) << codec.name;
+  }
+}
+
+TEST(WireCodec, DecodeBoundsRejectWithTypedErrors) {
+  const std::vector<CodecCase> table = codec_table();
+  for (const CodecCase& codec : table) {
+    // Trailing bytes mean the peer disagrees about the layout; a missing
+    // last byte is a truncation. Both are corrupt, never silently accepted.
+    EXPECT_THROW(codec.reencode(codec.payload + '\0'), common::SerializationError)
+        << codec.name;
+    EXPECT_THROW(codec.reencode(codec.payload.substr(0, codec.payload.size() - 1)),
+                 common::SerializationError)
+        << codec.name;
+  }
+  const auto rejects = [&](const char* name, const std::string& payload) {
+    EXPECT_THROW(table_case(table, name).reencode(payload), common::SerializationError)
+        << name << " accepted " << hex(payload).substr(0, 80);
+  };
+  const auto accepts = [&](const char* name, const std::string& payload) {
+    EXPECT_NO_THROW(table_case(table, name).reencode(payload)) << name;
   };
 
+  // Strings: at most 2^20 bytes.
+  accepts("drain_request", Bytes{}.str(std::string(1u << 20, 'x')).data);
+  rejects("drain_request", Bytes{}.u32((1u << 20) + 1).data + std::string((1u << 20) + 1, 'x'));
+  // Matrices: at most 2^26 elements, and a header whose element count
+  // overflows any byte arithmetic must not get past the check.
+  rejects("ingest_request", Bytes{}.str("SB_1").u32((1u << 13) + 1).u32(1u << 13).data);
+  rejects("ingest_request", Bytes{}.str("SB_1").u32(0xFFFFFFFFu).u32(0xFFFFFFFFu).data);
+  rejects("ingest_request",
+          Bytes{}.str("SB_1").u32(0x80000000u).u32(0x20000000u).u64(0).data);
+  // Element counts: never more than the bytes left.
+  rejects("score_request", Bytes{}.str("SA_0").u64(1ull << 40).data);
+  rejects("score_response", Bytes{}.u64(0).u32(0).u64(0).u64(~0ull).data);
+  rejects("stats", Bytes{}.u64(9).data);
+  // Enum ranges.
+  rejects("score_request", Bytes{}.str("SA_0").u64(1).u32(2).u32(0).u32(0).data);
+  rejects("score_response", Bytes{}.u64(0).u32(2).u64(0).u64(0).data);
+  const auto one_window = [](std::uint32_t observed, std::uint32_t predicted,
+                             std::uint32_t flag) {
+    return Bytes{}.u64(0).u32(0).u64(0).u64(1).f64(1).f64(2).u32(observed).u32(predicted)
+        .f64(0.5).u32(flag).f64(0.25).data;
+  };
+  accepts("score_response", one_window(2, 2, 1));
+  rejects("score_response", one_window(3, 0, 0));
+  rejects("score_response", one_window(0, 3, 0));
+  rejects("score_response", one_window(0, 0, 2));
+  rejects("refresh_reply", Bytes{}.u32(2).u64(0).data);
+  rejects("health_reply", Bytes{}.u32(2).u64(0).data);
+  rejects("drain_reply", Bytes{}.u32(2).str("").data);
+  rejects("promote_reply", Bytes{}.u32(2).u64(0).data);
+  rejects("rollback_reply", Bytes{}.u32(2).u64(0).data);
+  accepts("error", Bytes{}.u32(5).str("").data);
+  rejects("error", Bytes{}.u32(0).str("").data);
+  rejects("error", Bytes{}.u32(6).str("").data);
+  const auto ingest_regimes = [](std::uint64_t count, std::uint8_t regime) {
+    Bytes bytes;
+    bytes.str("SB_1").u32(1).u32(1).f64(1.0).u64(count);
+    for (std::uint64_t i = 0; i < count; ++i) bytes.u8(regime);
+    return bytes.data;
+  };
+  accepts("ingest_request", ingest_regimes(1, 1));
+  rejects("ingest_request", ingest_regimes(1, 2));
+  // Regime count must equal the tick count.
+  rejects("ingest_request", ingest_regimes(0, 0));
+  rejects("ingest_request", ingest_regimes(2, 0));
+  // ScoreLatest: count and seq_len capped at 2^20.
+  accepts("score_latest_request", Bytes{}.str("SA_0").u64(1u << 20).u64(1u << 20).data);
+  rejects("score_latest_request", Bytes{}.str("SA_0").u64((1u << 20) + 1).u64(0).data);
+  rejects("score_latest_request", Bytes{}.str("SA_0").u64(1).u64((1u << 20) + 1).data);
+}
+
+TEST(WireFuzz, PayloadCodecsThrowOnlyTypedErrors) {
+  const std::vector<CodecCase> table = codec_table();
+  // The router's entity peek reads only the leading name of the three
+  // entity-keyed payloads; it is swept over the same samples.
+  std::vector<CodecCase> cases = table;
+  for (const char* keyed : {"score_request", "ingest_request", "score_latest_request"}) {
+    CodecCase peek = table_case(table, keyed);
+    peek.name = std::string("peek:") + keyed;
+    peek.reencode = [](const std::string& p) { return wire::peek_score_entity(p); };
+    cases.push_back(std::move(peek));
+  }
+
+  const auto expect_typed = [](const CodecCase& codec, const std::string& mutated) {
+    try {
+      (void)codec.reencode(mutated);  // decoding fine means the mutation was benign
+    } catch (const common::SerializationError&) {
+      // the typed rejection — the only acceptable throw
+    } catch (const std::exception& other) {
+      ADD_FAILURE() << codec.name << " threw " << other.what()
+                    << " instead of SerializationError";
+    }
+  };
   std::uint64_t rng = 0xfeedc0de;
-  for (const Case& codec : cases) {
+  for (const CodecCase& codec : cases) {
     // Round-trip sanity first: the unmutated payload must decode.
-    ASSERT_NO_THROW(codec.decode(codec.payload)) << codec.name;
+    ASSERT_NO_THROW(codec.reencode(codec.payload)) << codec.name;
     for (int round = 0; round < 300; ++round) {
-      const std::string mutated = mutate(codec.payload, rng);
-      try {
-        codec.decode(mutated);  // decoding fine means the mutation was benign
-      } catch (const common::SerializationError&) {
-        // the typed rejection — the only acceptable throw
-      } catch (const std::exception& other) {
-        ADD_FAILURE() << codec.name << " threw " << other.what()
-                      << " instead of SerializationError";
-      }
+      expect_typed(codec, mutate(codec.payload, rng));
+    }
+    if (codec.matrix_at == 0) continue;
+    // A lying matrix header: 0xFFFFFFFF x 0xFFFFFFFF elements, whose byte
+    // size wraps 64-bit arithmetic. Only the peek may get past it (it never
+    // reads that far); every full decode must reject it typed.
+    std::string lying = codec.payload;
+    const std::uint32_t huge = 0xFFFFFFFFu;
+    std::memcpy(lying.data() + codec.matrix_at, &huge, 4);
+    std::memcpy(lying.data() + codec.matrix_at + 4, &huge, 4);
+    if (codec.name.rfind("peek:", 0) == 0) {
+      expect_typed(codec, lying);
+    } else {
+      EXPECT_THROW(codec.reencode(lying), common::SerializationError) << codec.name;
     }
   }
 }

@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
     }
     if (command == "promote") {
       const std::uint64_t generation = argc >= 4 ? std::stoull(argv[3]) : 0;
-      const serve::wire::PromoteReply reply = client.promote(generation);
+      const serve::wire::CanaryAdminReply reply = client.promote(generation);
       std::cout << (reply.applied ? "promoted: primary is now generation "
                                   : "nothing to apply; primary is generation ")
                 << reply.generation << "\n";
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
     }
     if (command == "rollback") {
       const std::uint64_t generation = argc >= 4 ? std::stoull(argv[3]) : 0;
-      const serve::wire::RollbackReply reply = client.rollback(generation);
+      const serve::wire::CanaryAdminReply reply = client.rollback(generation);
       std::cout << (reply.applied ? "rolled back: candidate dropped, primary stays generation "
                                   : "nothing to apply; primary is generation ")
                 << reply.generation << "\n";
