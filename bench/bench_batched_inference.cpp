@@ -135,7 +135,7 @@ void run_campaign_modes(std::vector<bench::BenchRecord>& records) {
     /// Per-probe lane override (AttackConfig::probe_precision): the final
     /// trajectories are re-verified through the exact model — the
     /// production fast-campaign shape.
-    std::optional<nn::Precision> probe_precision;
+    nn::Precision probe_precision;
   };
 
   const auto run_mode = [&](const Mode& mode) {

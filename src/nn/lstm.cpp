@@ -1,7 +1,6 @@
 #include "nn/lstm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 #include "common/error.hpp"
@@ -74,50 +73,66 @@ Lstm::PrefixState Lstm::initial_state() const {
   return state;
 }
 
-void Lstm::advance_impl(PrefixState& state, const Matrix& x,
-                        std::vector<PrefixState>* trail) const {
-  GO_EXPECTS(x.cols() == input_dim_);
-  GO_EXPECTS(state.hidden.size() == hidden_dim_ && state.cell.size() == hidden_dim_);
-  if (x.rows() == 0) return;
+template <typename GateRow>
+void Lstm::recur(const Matrix& packed, std::size_t batch, double* hs, double* cs,
+                 bool started, GateRow&& gate_row) const {
   const std::size_t h = hidden_dim_;
   const simd::KernelTable& kt = simd::active();
-
-  // Same arithmetic and accumulation order as forward_cached, minus the
-  // per-gate caches: the snapshot must be bit-identical to the scalar path.
-  const Matrix x_proj = matmul(x, w_x_.value);
-  std::vector<double> pre(4 * h);
-  for (std::size_t t = 0; t < x.rows(); ++t) {
-    const auto xp = x_proj.row(t);
-    for (std::size_t j = 0; j < 4 * h; ++j) pre[j] = xp[j] + b_.value(0, j);
-    // A fresh state's first step has a zero hidden vector — skip its GEMM,
-    // like the batched paths do.
-    if (t > 0 || state.steps > 0) {
-      kt.matmul_acc(state.hidden.data(), w_h_.value.data(), pre.data(), 1, h, 4 * h);
-    }
-    kt.lstm_gates(pre.data(), h, state.cell.data(), state.hidden.data());
-    if (trail != nullptr) {
-      PrefixState snapshot;
-      snapshot.steps = state.steps + t + 1;
-      snapshot.hidden = state.hidden;
-      snapshot.cell = state.cell;
-      trail->push_back(std::move(snapshot));
+  // One GEMM projects every (step, sequence) input row plus bias; rows
+  // [t*B, (t+1)*B) of the result are timestep t's contiguous batch block,
+  // and the recurrent term accumulates into that block in place.
+  Matrix proj(packed.rows(), 4 * h);
+  kt.matmul_bias(packed.data(), w_x_.value.data(), b_.value.data(), proj.data(),
+                 packed.rows(), input_dim_, 4 * h);
+  for (std::size_t t = 0; t * batch < packed.rows(); ++t) {
+    double* pre = proj.data() + t * batch * 4 * h;
+    // From an all-zero start the first step has no recurrent term — the same
+    // skip as forward_cached's t == 0.
+    if (t > 0 || started) kt.matmul_acc(hs, w_h_.value.data(), pre, batch, h, 4 * h);
+    for (std::size_t i = 0; i < batch; ++i) {
+      gate_row(t, i, pre + i * 4 * h, cs + i * h, hs + i * h);
     }
   }
-  state.steps += x.rows();
 }
 
+namespace {
+
+/// Gate step of the inference-only callers: no caches, lane per `precision`
+/// (kFast keeps the double GEMMs and swaps only the gate transcendentals).
+auto inference_gates(Precision precision, std::size_t h) {
+  const simd::KernelTable& kt = simd::active();
+  const auto gates = precision == Precision::kFast ? kt.lstm_gates_fast : kt.lstm_gates;
+  return [gates, h](std::size_t, std::size_t, const double* pre, double* c, double* hs) {
+    gates(pre, h, c, hs);
+  };
+}
+
+}  // namespace
+
 void Lstm::advance(PrefixState& state, const Matrix& x) const {
-  advance_impl(state, x, nullptr);
+  GO_EXPECTS(x.cols() == input_dim_);
+  GO_EXPECTS(state.hidden.size() == hidden_dim_ && state.cell.size() == hidden_dim_);
+  // A single sequence is its own step-major pack.
+  recur(x, 1, state.hidden.data(), state.cell.data(), state.steps > 0,
+        inference_gates(Precision::kDouble, hidden_dim_));
+  state.steps += x.rows();
 }
 
 void Lstm::advance_recording(PrefixState& state, const Matrix& x,
                              std::vector<PrefixState>& trail) const {
-  advance_impl(state, x, &trail);
+  GO_EXPECTS(x.cols() == input_dim_);
+  GO_EXPECTS(state.hidden.size() == hidden_dim_ && state.cell.size() == hidden_dim_);
+  const auto gates = inference_gates(Precision::kDouble, hidden_dim_);
+  recur(x, 1, state.hidden.data(), state.cell.data(), state.steps > 0,
+        [&](std::size_t t, std::size_t i, const double* pre, double* c, double* hs) {
+          gates(t, i, pre, c, hs);
+          trail.push_back(PrefixState{state.steps + t + 1, state.hidden, state.cell});
+        });
+  state.steps += x.rows();
 }
 
 Matrix Lstm::run_batch(std::span<const Matrix> sequences, const PrefixState& start,
                        std::size_t first_row, Precision precision) const {
-  GO_EXPECTS(!sequences.empty());
   // Every sequence resumes from the same snapshot: the single-cluster
   // special case of run_batch_multi.
   std::vector<const Matrix*> seq_ptrs;
@@ -143,64 +158,28 @@ Matrix Lstm::run_batch_multi(std::span<const Matrix* const> sequences,
     GO_EXPECTS(s->rows() == first_row + steps && s->cols() == input_dim_);
   }
   const std::size_t h = hidden_dim_;
-  const simd::KernelTable& kt = simd::active();
-  // kFast keeps the double GEMMs and swaps only the gate transcendentals.
-  const auto gates = precision == Precision::kFast ? kt.lstm_gates_fast : kt.lstm_gates;
-
   Matrix h_state(batch, h);
   Matrix c_state(batch, h);
-  bool any_started = false;
+  bool started = false;
   for (std::size_t i = 0; i < batch; ++i) {
     const PrefixState& start = *starts[i];
     GO_EXPECTS(start.hidden.size() == h && start.cell.size() == h);
     std::copy(start.hidden.begin(), start.hidden.end(), h_state.row(i).begin());
     std::copy(start.cell.begin(), start.cell.end(), c_state.row(i).begin());
-    any_started = any_started || start.steps > 0;
+    started = started || start.steps > 0;
   }
-  if (steps == 0) return h_state;
-
-  // One packed GEMM projects every sequence's inputs (plus bias) at once;
-  // rows [t*B, (t+1)*B) of the result are timestep t's batch block.
-  const Matrix packed = pack_step_major(sequences, first_row, steps);
-  Matrix pre_proj(packed.rows(), 4 * h);
-  kt.matmul_bias(packed.data(), w_x_.value.data(), b_.value.data(), pre_proj.data(),
-                 packed.rows(), input_dim_, 4 * h);
-
-  Matrix pre(batch, 4 * h);
-  for (std::size_t t = 0; t < steps; ++t) {
-    // Timestep t's batch block is contiguous in the packed projection.
-    std::memcpy(pre.data(), pre_proj.data() + t * batch * 4 * h,
-                batch * 4 * h * sizeof(double));
-    // pre += h_state * Wh: batched recurrent GEMM. When every start is the
-    // fresh zero state the first step has nothing to add — same skip as the
-    // scalar step's t == 0.
-    if (t > 0 || any_started) {
-      kt.matmul_acc(h_state.data(), w_h_.value.data(), pre.data(), batch, h, 4 * h);
-    }
-    for (std::size_t i = 0; i < batch; ++i) {
-      gates(pre.row(i).data(), h, c_state.row(i).data(), h_state.row(i).data());
-    }
-  }
+  recur(pack_step_major(sequences, first_row, steps), batch, h_state.data(), c_state.data(),
+        started, inference_gates(precision, h));
   return h_state;
 }
 
 Matrix Lstm::first_step_batch(const Matrix& rows, Precision precision) const {
   GO_EXPECTS(rows.cols() == input_dim_);
-  const std::size_t n = rows.rows();
-  const std::size_t h = hidden_dim_;
-  const simd::KernelTable& kt = simd::active();
-  const auto gates = precision == Precision::kFast ? kt.lstm_gates_fast : kt.lstm_gates;
-
-  // From the zero state there is no recurrent term: one projection GEMM and
-  // one gate pass per row gives every sequence's first hidden state.
-  Matrix pre(n, 4 * h);
-  kt.matmul_bias(rows.data(), w_x_.value.data(), b_.value.data(), pre.data(), n,
-                 input_dim_, 4 * h);
-  Matrix h_state(n, h);
-  Matrix c_state(n, h);
-  for (std::size_t i = 0; i < n; ++i) {
-    gates(pre.row(i).data(), h, c_state.row(i).data(), h_state.row(i).data());
-  }
+  // N one-step sequences: `rows` is already their step-major pack.
+  Matrix h_state(rows.rows(), hidden_dim_);
+  Matrix c_state(rows.rows(), hidden_dim_);
+  recur(rows, rows.rows(), h_state.data(), c_state.data(), false,
+        inference_gates(precision, hidden_dim_));
   return h_state;
 }
 
@@ -233,30 +212,19 @@ void Lstm::forward_batch_cached(std::span<const Matrix> sequences, std::vector<C
     }
   }
 
-  // Same packed layout and accumulation order as run_batch: one GEMM for
-  // every sequence's input projection, one recurrent GEMM per timestep.
-  const Matrix packed = pack_step_major(sequences, 0, steps);
-  const Matrix pre_proj = matmul_bias(packed, w_x_.value, b_.value);
   const simd::KernelTable& kt = simd::active();
   const auto gates_cached =
       precision == Precision::kFast ? kt.lstm_gates_cached_fast : kt.lstm_gates_cached;
-
   Matrix h_state(batch, h);
   Matrix c_state(batch, h);
-  Matrix pre(batch, 4 * h);
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::memcpy(pre.data(), pre_proj.data() + t * batch * 4 * h,
-                batch * 4 * h * sizeof(double));
-    if (t > 0) matmul_accumulate(h_state, w_h_.value, pre);
-    for (std::size_t i = 0; i < batch; ++i) {
-      Cache& cache = caches[i];
-      gates_cached(pre.row(i).data(), h, cache.gate_i.row(t).data(),
-                   cache.gate_f.row(t).data(), cache.gate_g.row(t).data(),
-                   cache.gate_o.row(t).data(), cache.cell.row(t).data(),
-                   cache.cell_tanh.row(t).data(), cache.hidden.row(t).data(),
-                   c_state.row(i).data(), h_state.row(i).data());
-    }
-  }
+  recur(pack_step_major(sequences, 0, steps), batch, h_state.data(), c_state.data(), false,
+        [&](std::size_t t, std::size_t i, const double* pre, double* c, double* hs) {
+          Cache& cache = caches[i];
+          gates_cached(pre, h, cache.gate_i.row(t).data(), cache.gate_f.row(t).data(),
+                       cache.gate_g.row(t).data(), cache.gate_o.row(t).data(),
+                       cache.cell.row(t).data(), cache.cell_tanh.row(t).data(),
+                       cache.hidden.row(t).data(), c, hs);
+        });
 }
 
 Matrix Lstm::backward(const Matrix& grad_hidden, const Cache& cache) {
@@ -440,66 +408,6 @@ Matrix BiLstm::backward(const Matrix& grad_output, const Cache& cache) {
   Matrix dx = dx_fwd;
   dx += dx_bwd;
   return dx;
-}
-
-Matrix BiLstm::final_states_batch(std::span<const Matrix> sequences,
-                                  std::size_t shared_prefix,
-                                  std::size_t shared_suffix) const {
-  GO_EXPECTS(!sequences.empty());
-  const std::size_t steps = sequences.front().rows();
-  GO_EXPECTS(steps > 0);
-  GO_EXPECTS(shared_prefix <= steps && shared_suffix <= steps);
-  const std::size_t batch = sequences.size();
-  const std::size_t h = hidden_dim();
-
-  // Forward cell: consume the shared prefix once, then replay only each
-  // sequence's unshared tail from the snapshot.
-  Lstm::PrefixState fwd_state = fwd_.initial_state();
-  if (shared_prefix > 0) {
-    Matrix prefix(shared_prefix, sequences.front().cols());
-    for (std::size_t t = 0; t < shared_prefix; ++t) {
-      const auto src = sequences.front().row(t);
-      std::copy(src.begin(), src.end(), prefix.row(t).begin());
-    }
-    fwd_.advance(fwd_state, prefix);
-  }
-  const Matrix h_fwd = fwd_.run_batch(sequences, fwd_state, shared_prefix);
-
-  // Backward cell: the scalar path's last aligned output row is the state
-  // after the FIRST reversed step, which consumes only row T - 1. One step
-  // per sequence — computed once when the last row is shared.
-  Matrix h_bwd(batch, h);
-  const auto one_step = [&](const Matrix& seq) {
-    Lstm::PrefixState state = bwd_.initial_state();
-    Matrix last(1, seq.cols());
-    const auto src = seq.row(steps - 1);
-    std::copy(src.begin(), src.end(), last.row(0).begin());
-    bwd_.advance(state, last);
-    return state;
-  };
-  if (shared_suffix >= 1) {
-    const Lstm::PrefixState state = one_step(sequences.front());
-    for (std::size_t i = 0; i < batch; ++i) {
-      std::copy(state.hidden.begin(), state.hidden.end(), h_bwd.row(i).begin());
-    }
-  } else {
-    for (std::size_t i = 0; i < batch; ++i) {
-      const Lstm::PrefixState state = one_step(sequences[i]);
-      std::copy(state.hidden.begin(), state.hidden.end(), h_bwd.row(i).begin());
-    }
-  }
-
-  Matrix out(batch, output_dim());
-  for (std::size_t i = 0; i < batch; ++i) {
-    auto dst = out.row(i);
-    const auto f = h_fwd.row(i);
-    const auto b = h_bwd.row(i);
-    for (std::size_t j = 0; j < h; ++j) {
-      dst[j] = f[j];
-      dst[h + j] = b[j];
-    }
-  }
-  return out;
 }
 
 ParamRefs BiLstm::parameters() {

@@ -85,9 +85,9 @@ class Lstm {
   Matrix run_batch(std::span<const Matrix> sequences) const;
 
   /// Generalization of run_batch where sequence i resumes from its OWN
-  /// snapshot *starts[i] (all snapshots must have consumed `first_row`
-  /// steps... or be the zero state with first_row == 0 semantics handled by
-  /// the caller's plan). This is what lets one packed per-timestep GEMM span
+  /// snapshot *starts[i]; every snapshot must have consumed exactly the
+  /// `first_row` rows before the replayed tail (the zero state pairs with
+  /// first_row == 0). This is what lets one packed per-timestep GEMM span
   /// several prefix clusters at once: a cross-window campaign batch merges
   /// every cluster's tails into a single call. Bit-identical per sequence to
   /// run_batch over that sequence's own cluster. Precision::kFast keeps the
@@ -143,9 +143,17 @@ class Lstm {
   const ParamBuffer& bias() const noexcept { return b_; }
 
  private:
-  /// Shared body of advance/advance_recording (`trail` optional).
-  void advance_impl(PrefixState& state, const Matrix& x,
-                    std::vector<PrefixState>* trail) const;
+  /// The one batched forward recurrence behind advance, run_batch,
+  /// first_step_batch and forward_batch_cached (forward_cached stays the
+  /// separate reference). `packed` is step-major (pack_step_major): rows
+  /// [t*batch, (t+1)*batch) are timestep t of the batch. `hs`/`cs` are the
+  /// batch x H start states, updated in place to the final ones; `started`
+  /// is false when every start is the zero state (the first step's
+  /// recurrent GEMM is then skipped). gate_row(t, i, pre, c, h) runs the
+  /// gate math of sequence i at step t.
+  template <typename GateRow>
+  void recur(const Matrix& packed, std::size_t batch, double* hs, double* cs, bool started,
+             GateRow&& gate_row) const;
 
   std::size_t input_dim_;
   std::size_t hidden_dim_;
@@ -175,18 +183,6 @@ class BiLstm {
   };
 
   Matrix forward_cached(const Matrix& x, Cache& cache) const;
-
-  /// Batched final output state for B same-shape sequences: row i holds
-  /// forward(sequences[i]).row(T - 1), i.e. the concatenation of the forward
-  /// cell's state after all T steps and the backward cell's state after its
-  /// first reversed step (which consumes only row T - 1). Rows
-  /// [0, shared_prefix) must be identical across the batch: the forward cell
-  /// consumes them once via a PrefixState snapshot and replays only the
-  /// unshared tail per sequence. When shared_suffix >= 1 the last row is
-  /// also shared and the backward step is computed once. Bit-identical to
-  /// the scalar forward() path.
-  Matrix final_states_batch(std::span<const Matrix> sequences,
-                            std::size_t shared_prefix, std::size_t shared_suffix) const;
 
   /// `grad_output` is (T x 2H) w.r.t. the concatenated outputs.
   /// Returns dLoss/dx (T x input_dim).

@@ -26,11 +26,8 @@ struct BatchPlan {
 };
 
 /// Computes the shared-row plan of a batch of same-shape windows. A batch of
-/// one window is fully shared (prefix == rows, suffix == 0).
-BatchPlan plan_shared_rows(std::span<const nn::Matrix> windows);
-/// Pointer-span variant: windows scattered across caller-owned storage
-/// (request groups, column-store gathers) plan without being copied into a
-/// contiguous vector first. Plans are identical to the value-span overload.
+/// one window is fully shared (prefix == rows, suffix == 0). Windows arrive
+/// as pointers into caller-owned storage, like Forecaster::predict_batch.
 BatchPlan plan_shared_rows(std::span<const nn::Matrix* const> windows);
 
 /// One shape-homogeneous slice of a heterogeneous probe batch.
@@ -42,8 +39,6 @@ struct ProbeGroup {
 /// Groups a probe batch by (rows, cols) shape — batched recurrent execution
 /// needs equal sequence lengths — and computes each group's shared-row plan.
 /// Groups appear in first-seen order; indices within a group stay ascending.
-std::vector<ProbeGroup> group_probes(std::span<const nn::Matrix> windows);
-/// Pointer-span variant (same grouping, same plans).
 std::vector<ProbeGroup> group_probes(std::span<const nn::Matrix* const> windows);
 
 /// One prefix cluster inside a shape group: members that share enough
@@ -63,9 +58,6 @@ struct ProbeCluster {
 /// typically prefix 0 — makes the packed whole-sequence GEMM the fallback,
 /// i.e. exactly the pre-clustering behavior). Cluster order: multi-member
 /// clusters in first-seen order, residual last; member indices ascending.
-std::vector<ProbeCluster> cluster_probes(std::span<const nn::Matrix> windows,
-                                         std::span<const std::size_t> indices);
-/// Pointer-span variant (same clustering, same plans).
 std::vector<ProbeCluster> cluster_probes(std::span<const nn::Matrix* const> windows,
                                          std::span<const std::size_t> indices);
 

@@ -72,27 +72,6 @@ double BiLstmForecaster::predict(const nn::Matrix& raw_features) const {
 }
 
 std::vector<double> BiLstmForecaster::predict_batch(
-    std::span<const nn::Matrix> raw_windows) const {
-  return predict_batch(raw_windows, nn::Precision::kDouble);
-}
-
-std::vector<double> BiLstmForecaster::predict_batch(
-    std::span<const nn::Matrix> raw_windows, nn::Precision precision) const {
-  // Delegate to the pointer-span primary: one pointer per window is noise
-  // next to the GEMMs, and a single implementation keeps all entry points
-  // bitwise-identical.
-  std::vector<const nn::Matrix*> ptrs;
-  ptrs.reserve(raw_windows.size());
-  for (const nn::Matrix& w : raw_windows) ptrs.push_back(&w);
-  return predict_batch(std::span<const nn::Matrix* const>(ptrs), precision);
-}
-
-std::vector<double> BiLstmForecaster::predict_batch(
-    std::span<const nn::Matrix* const> raw_windows) const {
-  return predict_batch(raw_windows, nn::Precision::kDouble);
-}
-
-std::vector<double> BiLstmForecaster::predict_batch(
     std::span<const nn::Matrix* const> raw_windows, nn::Precision precision) const {
   std::vector<double> out(raw_windows.size());
   if (raw_windows.empty()) return out;
@@ -102,7 +81,7 @@ std::vector<double> BiLstmForecaster::predict_batch(
   std::vector<nn::Matrix> scaled;
   scaled.reserve(raw_windows.size());
   for (const nn::Matrix* w : raw_windows) {
-    GO_EXPECTS(w->cols() == scaler_.num_features());
+    GO_EXPECTS(w->rows() > 0 && w->cols() == scaler_.num_features());
     scaled.push_back(scaler_.transform(*w));
   }
 

@@ -53,25 +53,12 @@ class BiLstmForecaster final : public Forecaster {
   /// prefixes are long). Each cluster's shared rows are consumed once —
   /// served from a trail cache that remembers the state after EVERY prefix
   /// row — and all cluster tails with equal prefix length run as one packed
-  /// batch GEMM. Bit-compatible with the scalar predict() path under the
-  /// default double precision.
-  std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows) const override;
-
-  /// Per-call precision override: identical batching, but the LSTM tails run
-  /// in the requested lane. Campaign probes pass nn::Precision::kFast here
-  /// while exact verification keeps using predict()/predict_batch() on the
-  /// same shared const model.
-  std::vector<double> predict_batch(std::span<const nn::Matrix> raw_windows,
-                                    nn::Precision precision) const override;
-
-  /// Zero-copy entry points: the batch arrives as pointers into caller-owned
-  /// storage (scoring-service request groups, column-store gathers). These
-  /// are the primary implementation — the value-span overloads delegate here
-  /// — so results are bitwise-identical across all four entry points.
-  std::vector<double> predict_batch(
-      std::span<const nn::Matrix* const> raw_windows) const override;
+  /// batch GEMM in the requested lane. Bit-compatible with the scalar
+  /// predict() path under kDouble.
   std::vector<double> predict_batch(std::span<const nn::Matrix* const> raw_windows,
-                                    nn::Precision precision) const override;
+                                    nn::Precision precision =
+                                        nn::Precision::kDouble) const override;
+  using Forecaster::predict_batch;
 
   nn::Matrix input_gradient(const nn::Matrix& raw_features) const override;
 

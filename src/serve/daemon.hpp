@@ -69,8 +69,8 @@ struct DaemonConfig {
   /// Daemon::endpoint() reports the resolved port after start()).
   common::Endpoint listen;
   ScoringServiceConfig scoring;
-  /// Adaptive-loop tuning; async_refresh stays the default so rebuilds run
-  /// on the controller's worker, never a connection thread.
+  /// Adaptive-loop tuning; auto-refresh rebuilds run on the controller's
+  /// worker, never a connection thread.
   AdaptiveControllerConfig adaptive;
   /// With false the daemon serves a frozen bundle (no profiling, no
   /// refreshes; Refresh frames answer refreshed=false).

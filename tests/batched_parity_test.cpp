@@ -1,5 +1,5 @@
 // Pins the batched inference path to the scalar reference: batched
-// predictions must match scalar predict() within 1e-12, and every search
+// predictions must match scalar predict() bitwise, and every search
 // strategy must produce identical AttackResult decisions with batched probes
 // on and off, on the BGMS regression fixture.
 #include <gtest/gtest.h>
@@ -81,7 +81,7 @@ TEST(BatchedParity, PredictBatchMatchesScalarOnBenignWindows) {
   const auto batched = f.model->predict_batch(batch);
   ASSERT_EQ(batched.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_NEAR(batched[i], f.model->predict(batch[i]), 1e-12) << "window " << i;
+    EXPECT_EQ(batched[i], f.model->predict(batch[i])) << "window " << i;
   }
 }
 
@@ -97,8 +97,7 @@ TEST(BatchedParity, PredictBatchMatchesScalarOnProbeBatches) {
     }
     const auto batched = f.model->predict_batch(probes);
     for (std::size_t vi = 0; vi < probes.size(); ++vi) {
-      EXPECT_NEAR(batched[vi], f.model->predict(probes[vi]), 1e-12)
-          << "t=" << t << " vi=" << vi;
+      EXPECT_EQ(batched[vi], f.model->predict(probes[vi])) << "t=" << t << " vi=" << vi;
     }
   }
 }
@@ -214,7 +213,8 @@ TEST(BatchedParity, CampaignOutcomesIdenticalWithAndWithoutCrossWindowMerge) {
 // these push the PrefixState/advance/run_batch contract into randomized
 // space: for arbitrary (seeded) window lengths, prefix split points and
 // batch sizes, resuming from a snapshot must match a fresh run from t = 0
-// within 1e-12.
+// bitwise. The forward_cached reference is the comparison point for every
+// batched entry point.
 
 nn::Matrix random_sequence(std::size_t rows, std::size_t cols, common::Rng& rng) {
   nn::Matrix m(rows, cols);
@@ -263,7 +263,7 @@ TEST(PrefixStateProperty, AdvanceFromSnapshotMatchesFreshRun) {
     for (std::size_t b = 0; b < batch; ++b) {
       const nn::Matrix reference = lstm.forward(sequences[b]);
       for (std::size_t h = 0; h < hidden_dim; ++h) {
-        EXPECT_NEAR(finals(b, h), reference(seq_len - 1, h), 1e-12)
+        EXPECT_EQ(finals(b, h), reference(seq_len - 1, h))
             << "trial=" << trial << " split=" << split << " b=" << b << " h=" << h;
       }
     }
@@ -324,6 +324,159 @@ TEST(PrefixStateProperty, FullPrefixReplicatesSnapshot) {
   for (std::size_t b = 0; b < sequences.size(); ++b) {
     for (std::size_t h = 0; h < lstm.hidden_dim(); ++h) {
       EXPECT_EQ(finals(b, h), state.hidden[h]);
+    }
+  }
+}
+
+/// Row `got_row` of `got` must equal row `want_row` of `want` bitwise.
+void expect_row_bitwise(const nn::Matrix& got, std::size_t got_row, const nn::Matrix& want,
+                        std::size_t want_row, const char* what, int trial) {
+  for (std::size_t h = 0; h < want.cols(); ++h) {
+    EXPECT_EQ(got(got_row, h), want(want_row, h))
+        << what << " trial=" << trial << " row=" << want_row << " h=" << h;
+  }
+}
+
+TEST(PrefixStateProperty, AdvanceRecordingTrailMatchesReference) {
+  // Every trail entry is the state after that many rows: hidden and cell
+  // must equal the matching rows of the forward_cached reference.
+  common::Rng rng(0x7A11);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto input_dim = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const auto hidden_dim = static_cast<std::size_t>(rng.uniform_int(1, 16));
+    const auto seq_len = static_cast<std::size_t>(rng.uniform_int(1, 20));
+    nn::Lstm lstm(input_dim, hidden_dim, rng);
+    const nn::Matrix sequence = random_sequence(seq_len, input_dim, rng);
+    nn::Lstm::Cache reference;
+    lstm.forward_cached(sequence, reference);
+
+    // Record in two chunks so the second resumes from a started state.
+    const auto split = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(seq_len)));
+    nn::Lstm::PrefixState state = lstm.initial_state();
+    std::vector<nn::Lstm::PrefixState> trail;
+    for (const auto& [from, to] : {std::pair{std::size_t{0}, split}, std::pair{split, seq_len}}) {
+      nn::Matrix chunk(to - from, input_dim);
+      for (std::size_t t = from; t < to; ++t) {
+        const auto src = sequence.row(t);
+        std::copy(src.begin(), src.end(), chunk.row(t - from).begin());
+      }
+      lstm.advance_recording(state, chunk, trail);
+    }
+
+    ASSERT_EQ(trail.size(), seq_len);
+    for (std::size_t t = 0; t < seq_len; ++t) {
+      EXPECT_EQ(trail[t].steps, t + 1) << "trial=" << trial;
+      for (std::size_t h = 0; h < hidden_dim; ++h) {
+        EXPECT_EQ(trail[t].hidden[h], reference.hidden(t, h)) << "trial=" << trial << " t=" << t;
+        EXPECT_EQ(trail[t].cell[h], reference.cell(t, h)) << "trial=" << trial << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(PrefixStateProperty, FirstStepBatchMatchesReference) {
+  common::Rng rng(0x51E9);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto input_dim = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const auto hidden_dim = static_cast<std::size_t>(rng.uniform_int(1, 16));
+    const auto rows = static_cast<std::size_t>(rng.uniform_int(1, 9));
+    nn::Lstm lstm(input_dim, hidden_dim, rng);
+    const nn::Matrix firsts = random_sequence(rows, input_dim, rng);
+
+    const nn::Matrix batched = lstm.first_step_batch(firsts);
+    ASSERT_EQ(batched.rows(), rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      nn::Matrix one(1, input_dim);
+      std::copy(firsts.row(r).begin(), firsts.row(r).end(), one.row(0).begin());
+      expect_row_bitwise(batched, r, lstm.forward(one), 0, "first_step_batch", trial);
+    }
+  }
+}
+
+TEST(PrefixStateProperty, RunBatchMultiFromDifferentBasesMatchesReference) {
+  // One packed call spanning several prefix clusters: each sequence
+  // resumes from its OWN base's snapshot after `split` rows.
+  common::Rng rng(0x3B17);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto input_dim = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const auto hidden_dim = static_cast<std::size_t>(rng.uniform_int(1, 16));
+    const auto seq_len = static_cast<std::size_t>(rng.uniform_int(2, 20));
+    const auto split = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(seq_len)));
+    const auto bases = static_cast<std::size_t>(rng.uniform_int(2, 4));
+    nn::Lstm lstm(input_dim, hidden_dim, rng);
+
+    std::vector<nn::Lstm::PrefixState> snapshots;
+    std::vector<nn::Matrix> sequences;
+    std::vector<std::size_t> base_of;
+    for (std::size_t b = 0; b < bases; ++b) {
+      const nn::Matrix base = random_sequence(seq_len, input_dim, rng);
+      nn::Matrix prefix(split, input_dim);
+      for (std::size_t t = 0; t < split; ++t) {
+        std::copy(base.row(t).begin(), base.row(t).end(), prefix.row(t).begin());
+      }
+      snapshots.push_back(lstm.initial_state());
+      lstm.advance(snapshots.back(), prefix);
+      const auto members = static_cast<std::size_t>(rng.uniform_int(1, 3));
+      for (std::size_t m = 0; m < members; ++m) {
+        sequences.push_back(base);
+        for (std::size_t t = split; t < seq_len; ++t) {
+          for (double& v : sequences.back().row(t)) v = rng.uniform(-1.5, 1.5);
+        }
+        base_of.push_back(b);
+      }
+    }
+    std::vector<const nn::Matrix*> seq_ptrs;
+    std::vector<const nn::Lstm::PrefixState*> starts;
+    for (std::size_t i = 0; i < sequences.size(); ++i) {
+      seq_ptrs.push_back(&sequences[i]);
+      starts.push_back(&snapshots[base_of[i]]);
+    }
+
+    const nn::Matrix finals = lstm.run_batch_multi(seq_ptrs, starts, split);
+    ASSERT_EQ(finals.rows(), sequences.size());
+    for (std::size_t i = 0; i < sequences.size(); ++i) {
+      expect_row_bitwise(finals, i, lstm.forward(sequences[i]), seq_len - 1,
+                         "run_batch_multi", trial);
+    }
+  }
+}
+
+TEST(PrefixStateProperty, ForwardBatchCachedFillsReferenceCaches) {
+  // All seven computed cache matrices, not just the hidden states: backward()
+  // consumes every one of them.
+  common::Rng rng(0xCAC4E);
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto input_dim = static_cast<std::size_t>(rng.uniform_int(1, 5));
+    const auto hidden_dim = static_cast<std::size_t>(rng.uniform_int(1, 16));
+    const auto seq_len = static_cast<std::size_t>(rng.uniform_int(1, 20));
+    const auto batch = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    nn::Lstm lstm(input_dim, hidden_dim, rng);
+    std::vector<nn::Matrix> sequences;
+    for (std::size_t b = 0; b < batch; ++b) {
+      sequences.push_back(random_sequence(seq_len, input_dim, rng));
+    }
+
+    std::vector<nn::Lstm::Cache> caches;
+    lstm.forward_batch_cached(sequences, caches);
+    ASSERT_EQ(caches.size(), batch);
+    for (std::size_t b = 0; b < batch; ++b) {
+      nn::Lstm::Cache ref;
+      lstm.forward_cached(sequences[b], ref);
+      const std::pair<const nn::Matrix nn::Lstm::Cache::*, const char*> fields[] = {
+          {&nn::Lstm::Cache::gate_i, "gate_i"}, {&nn::Lstm::Cache::gate_f, "gate_f"},
+          {&nn::Lstm::Cache::gate_g, "gate_g"}, {&nn::Lstm::Cache::gate_o, "gate_o"},
+          {&nn::Lstm::Cache::cell, "cell"},     {&nn::Lstm::Cache::cell_tanh, "cell_tanh"},
+          {&nn::Lstm::Cache::hidden, "hidden"}};
+      for (const auto& [field, name] : fields) {
+        const nn::Matrix& got = caches[b].*field;
+        const nn::Matrix& want = ref.*field;
+        ASSERT_TRUE(got.same_shape(want)) << name;
+        for (std::size_t t = 0; t < seq_len; ++t) {
+          expect_row_bitwise(got, t, want, t, name, trial);
+        }
+      }
     }
   }
 }

@@ -218,8 +218,8 @@ TEST(PredictBatch, DefaultImplementationLoopsOverPredict) {
 
 TEST(PredictBatch, DefaultImplementationHandlesEmptyBatch) {
   const SumModel model;
-  // Spelled out: `{}` would be ambiguous between the value-span and the
-  // zero-copy pointer-span overloads.
+  // Spelled out: `{}` would be ambiguous between the value-span adapter and
+  // the pointer-span virtual.
   EXPECT_TRUE(model.predict_batch(std::span<const nn::Matrix>{}).empty());
 }
 
@@ -240,7 +240,7 @@ TEST(PredictBatch, BiLstmParityOnRandomWindows) {
   const auto batched = model.predict_batch(windows);
   ASSERT_EQ(batched.size(), windows.size());
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    EXPECT_NEAR(batched[i], model.predict(windows[i]), 1e-12) << "window " << i;
+    EXPECT_EQ(batched[i], model.predict(windows[i])) << "window " << i;
   }
 }
 
@@ -261,8 +261,26 @@ TEST(PredictBatch, BiLstmParityAcrossMixedShapes) {
   const auto batched = model.predict_batch(windows);
   ASSERT_EQ(batched.size(), windows.size());
   for (std::size_t i = 0; i < windows.size(); ++i) {
-    EXPECT_NEAR(batched[i], model.predict(windows[i]), 1e-12) << "window " << i;
+    EXPECT_EQ(batched[i], model.predict(windows[i])) << "window " << i;
   }
+}
+
+TEST(PredictBatch, BiLstmRejectsZeroRowWindowLikePredict) {
+  const auto& f = fixture();
+  const BiLstmForecaster model(tiny_forecaster_config(),
+                               fit_forecaster_scaler(f.train_series.values, bgms::kCgm,
+                                                     bgms::kMinGlucose, bgms::kMaxGlucose));
+  const nn::Matrix empty(0, bgms::kNumChannels);
+  EXPECT_THROW((void)model.predict(empty), common::PreconditionError);
+  const std::vector<nn::Matrix> batch{f.test_windows.front().features, empty};
+  EXPECT_THROW((void)model.predict_batch(batch), common::PreconditionError);
+}
+
+/// The planner takes windows by pointer, as predict_batch hands them over.
+std::vector<const nn::Matrix*> pointers(const std::vector<nn::Matrix>& windows) {
+  std::vector<const nn::Matrix*> out;
+  for (const nn::Matrix& w : windows) out.push_back(&w);
+  return out;
 }
 
 TEST(BatchPlanner, FindsSharedPrefixAndSuffixOfProbeBatch) {
@@ -272,7 +290,7 @@ TEST(BatchPlanner, FindsSharedPrefixAndSuffixOfProbeBatch) {
   for (std::size_t vi = 0; vi < probes.size(); ++vi) {
     probes[vi](7, 0) = 500.0 + static_cast<double>(vi);
   }
-  const auto plan = plan_shared_rows(probes);
+  const auto plan = plan_shared_rows(pointers(probes));
   EXPECT_EQ(plan.shared_prefix, 7u);
   EXPECT_EQ(plan.shared_suffix, 4u);
 }
@@ -281,7 +299,7 @@ TEST(BatchPlanner, IdenticalWindowsAreAllPrefix) {
   common::Rng rng(43);
   const nn::Matrix base = random_window(6, 3, rng);
   const std::vector<nn::Matrix> copies(4, base);
-  const auto plan = plan_shared_rows(copies);
+  const auto plan = plan_shared_rows(pointers(copies));
   EXPECT_EQ(plan.shared_prefix, 6u);
   EXPECT_EQ(plan.shared_suffix, 0u);  // prefix already covers every row
 }
@@ -289,7 +307,7 @@ TEST(BatchPlanner, IdenticalWindowsAreAllPrefix) {
 TEST(BatchPlanner, SingleWindowIsFullyShared) {
   common::Rng rng(47);
   const std::vector<nn::Matrix> one{random_window(5, 2, rng)};
-  const auto plan = plan_shared_rows(one);
+  const auto plan = plan_shared_rows(pointers(one));
   EXPECT_EQ(plan.shared_prefix, 5u);
   EXPECT_EQ(plan.shared_suffix, 0u);
 }
@@ -301,7 +319,7 @@ TEST(BatchPlanner, GroupsByShapePreservingOrder) {
   windows.push_back(random_window(8, 4, rng));
   windows.push_back(random_window(12, 4, rng));
   windows.push_back(random_window(8, 4, rng));
-  const auto groups = group_probes(windows);
+  const auto groups = group_probes(pointers(windows));
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].indices, (std::vector<std::size_t>{0, 2}));
   EXPECT_EQ(groups[1].indices, (std::vector<std::size_t>{1, 3}));
