@@ -228,6 +228,11 @@ void Lstm::forward_batch_cached(std::span<const Matrix> sequences, std::vector<C
 }
 
 Matrix Lstm::backward(const Matrix& grad_hidden, const Cache& cache) {
+  // dX = dpre * Wx^T.
+  return matmul_trans_b(backward_params(grad_hidden, cache), w_x_.value);
+}
+
+Matrix Lstm::backward_params(const Matrix& grad_hidden, const Cache& cache) {
   const std::size_t steps = cache.input.rows();
   const std::size_t h = hidden_dim_;
   GO_EXPECTS(grad_hidden.rows() == steps && grad_hidden.cols() == h);
@@ -265,7 +270,9 @@ Matrix Lstm::backward(const Matrix& grad_hidden, const Cache& cache) {
     }
 
     // dh_next = dpre * Wh^T (contribution to the previous hidden state) —
-    // each element is the same ascending-j dot product as before.
+    // each element is the same ascending-j dot product as before. Step 0
+    // has no previous state, so nothing reads its dh_next.
+    if (t == 0) break;
     std::fill(dh_next.begin(), dh_next.end(), 0.0);
     kt.matmul_tb_acc(dpre.data(), w_h_.value.data(), dh_next.data(), 1, 4 * h, h);
   }
@@ -282,9 +289,7 @@ Matrix Lstm::backward(const Matrix& grad_hidden, const Cache& cache) {
     kt.matmul_ta_acc(cache.hidden.row(t - 1).data(), grad_pre_all.row(t).data(),
                      w_h_.grad.data(), 1, h, 4 * h);
   }
-
-  // dX = dpre * Wx^T.
-  return matmul_trans_b(grad_pre_all, w_x_.value);
+  return grad_pre_all;
 }
 
 std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidden,

@@ -122,6 +122,12 @@ class Lstm {
   /// the loss). Accumulates parameter gradients and returns dLoss/dx.
   Matrix backward(const Matrix& grad_hidden, const Cache& cache);
 
+  /// backward() without its dX GEMM: accumulates the same parameter
+  /// gradients, bit for bit, and returns dLoss/d(pre-activations) (T x 4H)
+  /// instead of dLoss/dx. backward() is this plus dX = dpre * Wx^T; training
+  /// never reads dX, so it calls this.
+  Matrix backward_params(const Matrix& grad_hidden, const Cache& cache);
+
   /// Batched input-gradient-only BPTT over B cached same-length sequences:
   /// returns dLoss/dx per sequence WITHOUT touching parameter gradients
   /// (hence const). MAD-GAN's latent inversion only ever consumes dX — the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "nn/loss.hpp"
@@ -47,28 +49,53 @@ nn::ParamRefs BiLstmForecaster::parameters() {
   return params;
 }
 
-double BiLstmForecaster::forward_normalized(const nn::Matrix& scaled,
-                                            nn::BiLstm::Cache& lstm_cache,
-                                            nn::Dense::Cache& head1_cache,
-                                            nn::Dense::Cache& head2_cache) const {
-  const nn::Matrix hidden = lstm_.forward_cached(scaled, lstm_cache);
-  // Dense head consumes only the final timestep's concatenated state.
-  nn::Matrix last(1, hidden.cols());
-  const auto src = hidden.row(hidden.rows() - 1);
-  std::copy(src.begin(), src.end(), last.row(0).begin());
-  const nn::Matrix h1 = head1_.forward_cached(last, head1_cache);
-  const nn::Matrix out = head2_.forward_cached(h1, head2_cache);
-  return out(0, 0);
+namespace {
+
+/// Splits the head's gradient w.r.t. its input row [fwd h_{T-1}, bwd step]
+/// into the two cells' hidden-state gradients: (T x H) for the forward cell,
+/// nonzero only at row T-1, and (1 x H) for the backward cell's one step.
+std::pair<nn::Matrix, nn::Matrix> split_state_grad(const nn::Matrix& grad_state,
+                                                   std::size_t steps, std::size_t h) {
+  nn::Matrix fwd(steps, h);
+  nn::Matrix bwd(1, h);
+  const auto g = grad_state.row(0);
+  std::copy(g.begin(), g.begin() + static_cast<std::ptrdiff_t>(h), fwd.row(steps - 1).begin());
+  std::copy(g.begin() + static_cast<std::ptrdiff_t>(h), g.end(), bwd.row(0).begin());
+  return {std::move(fwd), std::move(bwd)};
+}
+
+}  // namespace
+
+double BiLstmForecaster::forward_pass(const nn::Lstm::Cache& fwd, HeadPass& pass) const {
+  const std::size_t h = config_.hidden;
+  const std::size_t last = fwd.input.rows() - 1;
+  nn::Matrix last_row(1, fwd.input.cols());
+  std::copy(fwd.input.row(last).begin(), fwd.input.row(last).end(), last_row.row(0).begin());
+  lstm_.backward_cell().forward_cached(last_row, pass.bwd);
+
+  nn::Matrix state(1, 2 * h);
+  std::copy(fwd.hidden.row(last).begin(), fwd.hidden.row(last).end(), state.row(0).begin());
+  std::copy(pass.bwd.hidden.row(0).begin(), pass.bwd.hidden.row(0).end(),
+            state.row(0).begin() + static_cast<std::ptrdiff_t>(h));
+  const nn::Matrix h1 = head1_.forward_cached(state, pass.head1);
+  return head2_.forward_cached(h1, pass.head2)(0, 0);
+}
+
+void BiLstmForecaster::backward_pass(double grad, const nn::Lstm::Cache& fwd,
+                                     const HeadPass& pass) {
+  const nn::Matrix g1 = head2_.backward(nn::Matrix(1, 1, grad), pass.head2);
+  const nn::Matrix g_state = head1_.backward(g1, pass.head1);
+  const auto [g_fwd, g_bwd] = split_state_grad(g_state, fwd.input.rows(), config_.hidden);
+  lstm_.forward_cell().backward_params(g_fwd, fwd);
+  lstm_.backward_cell().backward_params(g_bwd, pass.bwd);
 }
 
 double BiLstmForecaster::predict(const nn::Matrix& raw_features) const {
   GO_EXPECTS(raw_features.cols() == scaler_.num_features());
-  nn::BiLstm::Cache lstm_cache;
-  nn::Dense::Cache c1;
-  nn::Dense::Cache c2;
-  const double normalized =
-      forward_normalized(scaler_.transform(raw_features), lstm_cache, c1, c2);
-  return scaler_.inverse_transform_value(normalized, config_.target_channel);
+  nn::Lstm::Cache fwd;
+  HeadPass pass;
+  lstm_.forward_cell().forward_cached(scaler_.transform(raw_features), fwd);
+  return scaler_.inverse_transform_value(forward_pass(fwd, pass), config_.target_channel);
 }
 
 std::vector<double> BiLstmForecaster::predict_batch(
@@ -263,25 +290,23 @@ void BiLstmForecaster::invalidate_scoring_state() {
 
 nn::Matrix BiLstmForecaster::input_gradient(const nn::Matrix& raw_features) const {
   GO_EXPECTS(raw_features.cols() == scaler_.num_features());
-  // The backward pass accumulates parameter gradients; run it on a scratch
-  // copy of the model so this method stays const and thread-safe.
-  BiLstmForecaster scratch(*this);
+  nn::Lstm::Cache fwd;
+  HeadPass pass;
+  lstm_.forward_cell().forward_cached(scaler_.transform(raw_features), fwd);
+  forward_pass(fwd, pass);
 
-  nn::BiLstm::Cache lstm_cache;
-  nn::Dense::Cache c1;
-  nn::Dense::Cache c2;
-  const nn::Matrix scaled = scaler_.transform(raw_features);
-  scratch.forward_normalized(scaled, lstm_cache, c1, c2);
-
-  nn::Matrix grad_out(1, 1);
-  grad_out(0, 0) = 1.0;  // d(normalized prediction)/d(normalized prediction)
-  const nn::Matrix g1 = scratch.head2_.backward(grad_out, c2);
-  const nn::Matrix g_last = scratch.head1_.backward(g1, c1);
-
-  nn::Matrix grad_hidden(scaled.rows(), 2 * config_.hidden);
-  std::copy(g_last.row(0).begin(), g_last.row(0).end(),
-            grad_hidden.row(scaled.rows() - 1).begin());
-  nn::Matrix dx_scaled = scratch.lstm_.backward(grad_hidden, lstm_cache);
+  // dx-only backward passes: parameter gradients are never touched, so this
+  // stays const and thread-safe. d(normalized prediction)/d(itself) = 1.
+  const nn::Matrix g1 = head2_.backward_input(nn::Matrix(1, 1, 1.0), pass.head2);
+  const nn::Matrix g_state = head1_.backward_input(g1, pass.head1);
+  const std::size_t steps = fwd.input.rows();
+  const auto [g_fwd, g_bwd] = split_state_grad(g_state, steps, config_.hidden);
+  nn::Matrix dx_scaled = std::move(lstm_.forward_cell().backward_input_batch(
+      std::span(&g_fwd, 1), std::span(&fwd, 1)).front());
+  // The backward cell's one step read only the last row.
+  const nn::Matrix dx_last = std::move(lstm_.backward_cell().backward_input_batch(
+      std::span(&g_bwd, 1), std::span(&pass.bwd, 1)).front());
+  nn::axpy(1.0, dx_last.row(0), dx_scaled.row(steps - 1));
 
   // Chain through the scalers: prediction is inverse-scaled by the target
   // range; inputs were forward-scaled by each channel's range.
@@ -301,6 +326,9 @@ nn::Matrix BiLstmForecaster::input_gradient(const nn::Matrix& raw_features) cons
 double BiLstmForecaster::train(const std::vector<data::Window>& windows) {
   GO_EXPECTS(!windows.empty());
   GO_EXPECTS(config_.epochs > 0 && config_.batch_size > 0);
+  const std::size_t steps = windows.front().features.rows();
+  GO_EXPECTS(steps > 0);
+  for (const auto& w : windows) GO_EXPECTS(w.features.rows() == steps);
 
   // Pre-scale features and targets once.
   std::vector<nn::Matrix> scaled;
@@ -319,39 +347,35 @@ double BiLstmForecaster::train(const std::vector<data::Window>& windows) {
   std::vector<std::size_t> order(windows.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  // Reused across minibatches: forward_batch_cached keeps each cache's
+  // buffers while the shape holds.
+  std::vector<nn::Matrix> batch;
+  std::vector<nn::Lstm::Cache> fwd_caches;
+  HeadPass pass;
   double final_epoch_loss = 0.0;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     shuffle_rng.shuffle(order);
     double epoch_loss = 0.0;
-    std::size_t in_batch = 0;
 
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      const std::size_t i = order[pos];
-      nn::BiLstm::Cache lstm_cache;
-      nn::Dense::Cache c1;
-      nn::Dense::Cache c2;
-      const double pred = forward_normalized(scaled[i], lstm_cache, c1, c2);
-
-      const double diff = pred - targets[i];
-      epoch_loss += diff * diff;
-
-      nn::Matrix grad_out(1, 1);
-      grad_out(0, 0) = 2.0 * diff;  // d(squared error)/d(pred)
-      const nn::Matrix g1 = head2_.backward(grad_out, c2);
-      const nn::Matrix g_last = head1_.backward(g1, c1);
-      nn::Matrix grad_hidden(scaled[i].rows(), 2 * config_.hidden);
-      std::copy(g_last.row(0).begin(), g_last.row(0).end(),
-                grad_hidden.row(scaled[i].rows() - 1).begin());
-      lstm_.backward(grad_hidden, lstm_cache);
-
-      if (++in_batch == config_.batch_size || pos + 1 == order.size()) {
-        // Average the accumulated gradients over the batch, clip, step.
-        const double inv = 1.0 / static_cast<double>(in_batch);
-        for (auto* p : params) p->grad *= inv;
-        nn::clip_global_grad_norm(params, config_.grad_clip);
-        optimizer.step_and_zero(params);
-        in_batch = 0;
+    for (std::size_t begin = 0; begin < order.size(); begin += config_.batch_size) {
+      const std::size_t count = std::min(config_.batch_size, order.size() - begin);
+      batch.resize(count);
+      for (std::size_t k = 0; k < count; ++k) batch[k] = scaled[order[begin + k]];
+      // The forward cell's caches are bit-identical to forward_cached per
+      // window; BPTT stays per window, in order, so every parameter
+      // gradient accumulates exactly as a per-window loop would.
+      lstm_.forward_cell().forward_batch_cached(batch, fwd_caches);
+      for (std::size_t k = 0; k < count; ++k) {
+        const double diff = forward_pass(fwd_caches[k], pass) - targets[order[begin + k]];
+        epoch_loss += diff * diff;
+        backward_pass(2.0 * diff, fwd_caches[k], pass);  // d(squared error)/d(pred)
       }
+
+      // Average the accumulated gradients over the batch, clip, step.
+      const double inv = 1.0 / static_cast<double>(count);
+      for (auto* p : params) p->grad *= inv;
+      nn::clip_global_grad_norm(params, config_.grad_clip);
+      optimizer.step_and_zero(params);
     }
     final_epoch_loss = epoch_loss / static_cast<double>(order.size());
   }

@@ -42,7 +42,9 @@ class BiLstmForecaster final : public Forecaster {
   BiLstmForecaster(const ForecasterConfig& config, data::MinMaxScaler scaler);
 
   /// Trains on forecasting windows (raw units). Returns the final-epoch
-  /// mean training MSE in *normalized* units.
+  /// mean training MSE in *normalized* units. Every window must have the
+  /// same number of rows (at least one): each minibatch's forward-cell pass
+  /// runs as one batched recurrence over equal-length sequences.
   double train(const std::vector<data::Window>& windows);
 
   double predict(const nn::Matrix& raw_features) const override;
@@ -86,10 +88,27 @@ class BiLstmForecaster final : public Forecaster {
  private:
   nn::ParamRefs parameters();
 
-  /// Forward in normalized space; fills caches and returns the scalar.
-  double forward_normalized(const nn::Matrix& scaled, nn::BiLstm::Cache& lstm_cache,
-                            nn::Dense::Cache& head1_cache,
-                            nn::Dense::Cache& head2_cache) const;
+  /// The dense head reads only [forward-cell h_{T-1}, backward-cell state
+  /// aligned to row T-1], and the latter is the backward cell's FIRST
+  /// reversed step, which consumes only the window's last row. So the
+  /// backward cell runs (and backpropagates) that one step: its other T-1
+  /// steps get exactly zero upstream gradient and would only add +-0 to the
+  /// parameter gradients. These are the caches of one such pass, beside the
+  /// forward cell's cache over all T rows.
+  struct HeadPass {
+    nn::Lstm::Cache bwd;  ///< backward cell, one step over the last row
+    nn::Dense::Cache head1;
+    nn::Dense::Cache head2;
+  };
+
+  /// Normalized prediction from the forward cell's cache over a scaled
+  /// window (`fwd.input` is that window); fills `pass`. Bit-identical to the
+  /// full BiLstm forward followed by the head.
+  double forward_pass(const nn::Lstm::Cache& fwd, HeadPass& pass) const;
+  /// Backpropagates d(loss)/d(normalized prediction) = `grad` through
+  /// forward_pass: accumulates every parameter gradient and computes no
+  /// input gradient.
+  void backward_pass(double grad, const nn::Lstm::Cache& fwd, const HeadPass& pass);
 
   /// Forward-cell recurrent state after `prefix_rows` rows of `scaled`,
   /// served from (and recorded into) the prefix trail cache. Bit-identical
@@ -119,7 +138,7 @@ class BiLstmForecaster final : public Forecaster {
 
     PrefixCache() = default;
     // The cache is a memo, not model state: copies start cold (and the
-    // mutex is not copyable anyway — input_gradient copies the model).
+    // mutex is not copyable anyway).
     PrefixCache(const PrefixCache&) {}
     PrefixCache& operator=(const PrefixCache&) { return *this; }
   };

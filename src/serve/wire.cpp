@@ -1,5 +1,6 @@
 #include "serve/wire.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -329,11 +330,19 @@ std::optional<Frame> recv_frame(common::Socket& socket) {
   }
   Frame frame;
   frame.type = static_cast<MessageType>(raw_type);
-  frame.payload.resize(static_cast<std::size_t>(length));
-  if (length > 0 &&
-      socket.read_exact(frame.payload.data(), frame.payload.size()) !=
-          common::Socket::ReadResult::kOk) {
-    throw common::SerializationError("wire: connection closed mid-payload");
+  // The buffer grows only as payload bytes arrive: a header may lie about
+  // the length, and a peer that declares 1 GiB and then sends nothing must
+  // not cost 1 GiB.
+  constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+  const auto total = static_cast<std::size_t>(length);
+  while (frame.payload.size() < total) {
+    const std::size_t have = frame.payload.size();
+    const std::size_t chunk = std::min(kChunkBytes, total - have);
+    frame.payload.resize(have + chunk);
+    if (socket.read_exact(frame.payload.data() + have, chunk) !=
+        common::Socket::ReadResult::kOk) {
+      throw common::SerializationError("wire: connection closed mid-payload");
+    }
   }
   return frame;
 }

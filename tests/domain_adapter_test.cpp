@@ -178,13 +178,10 @@ TEST(BgmsRegression, ProfilingNumbersAreStable) {
   ASSERT_EQ(profiling.profiles.size(), 12u);
 
   // Values pinned at the refactor boundary (see CHANGES.md, PR 1).
-  EXPECT_NEAR(profiling.train_attack_rates[2].overall_rate(),
-              kPinnedAttackRateA2, 1e-12);
-  EXPECT_NEAR(profiling.train_attack_rates[5].overall_rate(),
-              kPinnedAttackRateA5, 1e-12);
-  EXPECT_NEAR(profiling.profiles[2].mean(), kPinnedProfileMeanA2,
-              std::abs(kPinnedProfileMeanA2) * 1e-9);
-  EXPECT_NEAR(profiling.benign_normal_ratio[5], kPinnedNormalRatioA5, 1e-12);
+  EXPECT_EQ(profiling.train_attack_rates[2].overall_rate(), kPinnedAttackRateA2);
+  EXPECT_EQ(profiling.train_attack_rates[5].overall_rate(), kPinnedAttackRateA5);
+  EXPECT_EQ(profiling.profiles[2].mean(), kPinnedProfileMeanA2);
+  EXPECT_EQ(profiling.benign_normal_ratio[5], kPinnedNormalRatioA5);
 }
 
 }  // namespace

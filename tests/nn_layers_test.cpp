@@ -3,8 +3,11 @@
 // the gradient-guided attack all rest on.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
@@ -31,6 +34,14 @@ double weighted_sum(const Matrix& out, const Matrix& weights) {
     for (std::size_t c = 0; c < out.cols(); ++c) sum += out(r, c) * weights(r, c);
   }
   return sum;
+}
+
+/// Every entry's bit pattern, so EXPECT_EQ compares bitwise (signed zeros
+/// included).
+std::vector<std::uint64_t> bits(const Matrix& m) {
+  std::vector<std::uint64_t> out(m.size());
+  for (std::size_t i = 0; i < m.size(); ++i) out[i] = std::bit_cast<std::uint64_t>(m.data()[i]);
+  return out;
 }
 
 constexpr double kEps = 1e-5;
@@ -188,6 +199,45 @@ TEST(Lstm, ParameterGradientsMatchFiniteDifferences) {
     check_param(lstm.weight_input(), 1, gate * 4 + 3);
     check_param(lstm.weight_hidden(), 2, gate * 4 + 0);
     check_param(lstm.bias(), 0, gate * 4 + 2);
+  }
+}
+
+TEST(Lstm, BackwardParamsIsBackwardWithoutTheInputGemm) {
+  // backward_params must accumulate bitwise the same parameter gradients as
+  // backward(), and backward()'s dX must be its pre-activation gradients
+  // times Wx^T, over several shapes and a sparse (last-row-only) upstream.
+  // backward_input_batch runs its own recurrence loop: its dX must agree.
+  for (const std::size_t steps : {1u, 2u, 7u}) {
+    for (const bool last_row_only : {false, true}) {
+      common::Rng init_a(71);
+      common::Rng init_b(71);
+      Lstm full(3, 5, init_a);
+      Lstm split(3, 5, init_b);
+      common::Rng data_rng(72 + steps);
+      const Matrix x = random_matrix(steps, 3, data_rng);
+      Matrix grad_hidden = random_matrix(steps, 5, data_rng);
+      if (last_row_only) {
+        for (std::size_t t = 0; t + 1 < steps; ++t) {
+          for (double& g : grad_hidden.row(t)) g = 0.0;
+        }
+      }
+
+      Lstm::Cache cache;
+      full.forward_cached(x, cache);
+      const Matrix dx = full.backward(grad_hidden, cache);
+      const Matrix grad_pre = split.backward_params(grad_hidden, cache);
+      EXPECT_EQ(bits(matmul_trans_b(grad_pre, split.weight_input().value)), bits(dx));
+      EXPECT_EQ(bits(split.backward_input_batch(std::span(&grad_hidden, 1),
+                                                std::span(&cache, 1))
+                         .front()),
+                bits(dx));
+      const ParamRefs a = full.parameters();
+      const ParamRefs b = split.parameters();
+      for (std::size_t p = 0; p < a.size(); ++p) {
+        EXPECT_EQ(bits(a[p]->grad), bits(b[p]->grad))
+            << "param " << p << " steps " << steps << " last_row_only " << last_row_only;
+      }
+    }
   }
 }
 

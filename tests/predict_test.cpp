@@ -1,13 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include <unistd.h>
+
+#include "attack/evasion.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "data/timeseries.hpp"
 #include "data/window.hpp"
+#include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
+#include "nn/serialize.hpp"
 #include "predict/batch_planner.hpp"
 #include "predict/bilstm_forecaster.hpp"
 #include "predict/registry.hpp"
@@ -274,6 +285,269 @@ TEST(PredictBatch, BiLstmRejectsZeroRowWindowLikePredict) {
   EXPECT_THROW((void)model.predict(empty), common::PreconditionError);
   const std::vector<nn::Matrix> batch{f.test_windows.front().features, empty};
   EXPECT_THROW((void)model.predict_batch(batch), common::PreconditionError);
+}
+
+// --- The head-only pass against the full BiLstm ----------------------------
+
+/// The forecaster's network run the long way, as it was before training and
+/// input_gradient computed only what the dense head reads: both cells over
+/// every row (nn::BiLstm::forward_cached/backward, whose backward cell gets
+/// zero upstream gradient on all but its first reversed step) and BPTT per
+/// window. The reference the head-only pass must reproduce.
+struct ReferenceNet {
+  common::Rng init_rng{1};  // shapes only: load_from overwrites every weight
+  nn::BiLstm lstm;
+  nn::Dense head1;
+  nn::Dense head2;
+
+  explicit ReferenceNet(const BiLstmForecaster& model)
+      : lstm(model.num_channels(), model.config().hidden, init_rng),
+        head1(2 * model.config().hidden, model.config().head_hidden, nn::Activation::kTanh,
+              init_rng),
+        head2(model.config().head_hidden, 1, nn::Activation::kLinear, init_rng) {
+    load_from(model);
+  }
+
+  nn::ParamRefs parameters() {
+    nn::ParamRefs params = lstm.parameters();
+    for (auto* p : head1.parameters()) params.push_back(p);
+    for (auto* p : head2.parameters()) params.push_back(p);
+    return params;
+  }
+
+  void load_from(const BiLstmForecaster& model) {
+    const auto path = std::filesystem::temp_directory_path() /
+                      ("goodones_reference_" + std::to_string(::getpid()) + ".bin");
+    model.save(path);
+    const bool loaded = nn::load_parameters(parameters(), path);
+    std::filesystem::remove(path);
+    if (!loaded) throw std::runtime_error("reference: no saved parameters");
+  }
+
+  double forward(const nn::Matrix& scaled, nn::BiLstm::Cache& lstm_cache,
+                 nn::Dense::Cache& c1, nn::Dense::Cache& c2) const {
+    const nn::Matrix hidden = lstm.forward_cached(scaled, lstm_cache);
+    nn::Matrix last(1, hidden.cols());
+    const auto src = hidden.row(hidden.rows() - 1);
+    std::copy(src.begin(), src.end(), last.row(0).begin());
+    return head2.forward_cached(head1.forward_cached(last, c1), c2)(0, 0);
+  }
+
+  /// Full backward (parameter gradients accumulate); returns dLoss/dx.
+  nn::Matrix backward(double grad, std::size_t steps, const nn::BiLstm::Cache& lstm_cache,
+                      const nn::Dense::Cache& c1, const nn::Dense::Cache& c2) {
+    const nn::Matrix g1 = head2.backward(nn::Matrix(1, 1, grad), c2);
+    const nn::Matrix g_last = head1.backward(g1, c1);
+    nn::Matrix grad_hidden(steps, lstm.output_dim());
+    std::copy(g_last.row(0).begin(), g_last.row(0).end(), grad_hidden.row(steps - 1).begin());
+    return lstm.backward(grad_hidden, lstm_cache);
+  }
+
+  /// The training loop, per window: forward, backward, step per minibatch.
+  double train(const BiLstmForecaster& model, const std::vector<data::Window>& windows) {
+    const ForecasterConfig& config = model.config();
+    const data::MinMaxScaler& scaler = model.scaler();
+    std::vector<nn::Matrix> scaled;
+    std::vector<double> targets;
+    for (const auto& w : windows) {
+      scaled.push_back(scaler.transform(w.features));
+      targets.push_back(scaler.transform_value(w.target_value, config.target_channel));
+    }
+    const nn::ParamRefs params = parameters();
+    nn::Adam optimizer(config.learning_rate);
+    common::Rng shuffle_rng(config.seed ^ 0xA5A5A5A5DEADBEEFULL);
+    std::vector<std::size_t> order(windows.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+
+    double final_epoch_loss = 0.0;
+    for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+      shuffle_rng.shuffle(order);
+      double epoch_loss = 0.0;
+      std::size_t in_batch = 0;
+      for (std::size_t pos = 0; pos < order.size(); ++pos) {
+        const std::size_t i = order[pos];
+        nn::BiLstm::Cache lstm_cache;
+        nn::Dense::Cache c1;
+        nn::Dense::Cache c2;
+        const double diff = forward(scaled[i], lstm_cache, c1, c2) - targets[i];
+        epoch_loss += diff * diff;
+        backward(2.0 * diff, scaled[i].rows(), lstm_cache, c1, c2);
+        if (++in_batch == config.batch_size || pos + 1 == order.size()) {
+          const double inv = 1.0 / static_cast<double>(in_batch);
+          for (auto* p : params) p->grad *= inv;
+          nn::clip_global_grad_norm(params, config.grad_clip);
+          optimizer.step_and_zero(params);
+          in_batch = 0;
+        }
+      }
+      final_epoch_loss = epoch_loss / static_cast<double>(order.size());
+    }
+    return final_epoch_loss;
+  }
+
+  /// dPrediction/dInput in raw units, through the full BiLstm.
+  nn::Matrix input_gradient(const BiLstmForecaster& model, const nn::Matrix& raw) {
+    const data::MinMaxScaler& scaler = model.scaler();
+    const nn::Matrix scaled = scaler.transform(raw);
+    nn::BiLstm::Cache lstm_cache;
+    nn::Dense::Cache c1;
+    nn::Dense::Cache c2;
+    forward(scaled, lstm_cache, c1, c2);
+    const nn::Matrix dx = backward(1.0, scaled.rows(), lstm_cache, c1, c2);
+    const std::size_t target = model.config().target_channel;
+    const double target_range = scaler.column_max(target) - scaler.column_min(target);
+    nn::Matrix out(dx.rows(), dx.cols());
+    for (std::size_t c = 0; c < dx.cols(); ++c) {
+      const double range = scaler.column_max(c) - scaler.column_min(c);
+      const double factor = range > 0.0 ? target_range / range : 0.0;
+      for (std::size_t t = 0; t < dx.rows(); ++t) out(t, c) = dx(t, c) * factor;
+    }
+    return out;
+  }
+};
+
+/// Every weight of `model` equals the reference's bitwise, or both are zero
+/// (the skipped steps only ever added +-0, which can flip an exact zero's
+/// sign and nothing else).
+void expect_same_weights(ReferenceNet& reference, const BiLstmForecaster& model,
+                         const std::string& label) {
+  ReferenceNet trained(model);
+  const nn::ParamRefs want = reference.parameters();
+  const nn::ParamRefs got = trained.parameters();
+  ASSERT_EQ(want.size(), got.size());
+  std::size_t mismatches = 0;
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    for (std::size_t i = 0; i < want[p]->value.size(); ++i) {
+      const double a = want[p]->value.data()[i];
+      const double b = got[p]->value.data()[i];
+      if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+          (a == 0.0 && b == 0.0)) {
+        continue;
+      }
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << label << ": param " << p << " entry " << i << " reference " << a
+                      << " trained " << b;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << label;
+}
+
+std::vector<data::Window> random_training_windows(std::size_t count, std::size_t steps,
+                                                  common::Rng& rng) {
+  std::vector<data::Window> windows(count);
+  for (auto& w : windows) {
+    w.features = random_window(steps, bgms::kNumChannels, rng);
+    w.target_value = rng.uniform(40.0, 400.0);
+  }
+  return windows;
+}
+
+TEST(ForecasterTraining, HeadOnlyPassTrainsTheFullBiLstmsWeights) {
+  const auto scaler = fit_forecaster_scaler(fixture().train_series.values, bgms::kCgm,
+                                            bgms::kMinGlucose, bgms::kMaxGlucose);
+  for (const std::uint64_t seed : {3u, 17u, 2024u}) {
+    for (const std::size_t steps : {1u, 2u, 12u}) {
+      ForecasterConfig config;
+      config.hidden = 6;
+      config.head_hidden = 5;
+      config.epochs = 2;
+      config.batch_size = 8;
+      config.seed = seed;
+      common::Rng rng(seed * 31 + steps);
+      // 75 windows: nine full minibatches of 8 and a partial one of 3.
+      const auto windows = random_training_windows(75, steps, rng);
+
+      BiLstmForecaster model(config, scaler);
+      ReferenceNet reference(model);
+      const double loss = model.train(windows);
+      const std::string label = "seed " + std::to_string(seed) + " steps " +
+                                std::to_string(steps);
+      EXPECT_EQ(loss, reference.train(model, windows)) << label;
+      expect_same_weights(reference, model, label);
+    }
+  }
+}
+
+TEST(ForecasterTraining, RequiresOneNonEmptyWindowLengthPerCall) {
+  const auto scaler = fit_forecaster_scaler(fixture().train_series.values, bgms::kCgm,
+                                            bgms::kMinGlucose, bgms::kMaxGlucose);
+  BiLstmForecaster model(tiny_forecaster_config(), scaler);
+  common::Rng rng(5);
+  auto mixed = random_training_windows(4, 12, rng);
+  mixed.push_back(random_training_windows(1, 8, rng).front());
+  EXPECT_THROW(model.train(mixed), common::PreconditionError);
+  EXPECT_THROW(model.train(random_training_windows(3, 0, rng)), common::PreconditionError);
+}
+
+TEST(Forecaster, InputGradientEqualsTheFullBiLstmGradient) {
+  const auto& f = fixture();
+  BiLstmForecaster model(tiny_forecaster_config(),
+                         fit_forecaster_scaler(f.train_series.values, bgms::kCgm,
+                                               bgms::kMinGlucose, bgms::kMaxGlucose));
+  model.train(f.train_windows);
+  ReferenceNet reference(model);
+  common::Rng rng(41);
+  for (const std::size_t steps : {1u, 2u, 12u}) {
+    for (std::size_t trial = 0; trial < 8; ++trial) {
+      const nn::Matrix x = random_window(steps, bgms::kNumChannels, rng);
+      const nn::Matrix got = model.input_gradient(x);
+      const nn::Matrix want = reference.input_gradient(model, x);
+      ASSERT_TRUE(got.same_shape(want));
+      for (std::size_t t = 0; t < steps; ++t) {
+        for (std::size_t c = 0; c < x.cols(); ++c) {
+          EXPECT_EQ(got(t, c), want(t, c)) << "steps " << steps << " t " << t << " c " << c;
+        }
+      }
+    }
+  }
+}
+
+/// `model`'s predictions steered by the full-BiLstm reference gradient.
+class ReferenceGradientModel final : public Forecaster {
+ public:
+  explicit ReferenceGradientModel(const BiLstmForecaster& model)
+      : model_(model), reference_(model) {}
+  double predict(const nn::Matrix& x) const override { return model_.predict(x); }
+  nn::Matrix input_gradient(const nn::Matrix& x) const override {
+    return reference_.input_gradient(model_, x);
+  }
+
+ private:
+  const BiLstmForecaster& model_;
+  mutable ReferenceNet reference_;  // backward accumulates unread grads
+};
+
+TEST(Forecaster, GradientGuidedAttacksMatchTheFullBiLstmGradient) {
+  const auto& f = fixture();
+  BiLstmForecaster model(tiny_forecaster_config(),
+                         fit_forecaster_scaler(f.train_series.values, bgms::kCgm,
+                                               bgms::kMinGlucose, bgms::kMaxGlucose));
+  model.train(f.train_windows);
+  const ReferenceGradientModel reference(model);
+  attack::AttackConfig config;
+  config.search = attack::SearchKind::kGradientGuided;
+  config.target_channel = bgms::kCgm;
+  config.batched_probes = false;
+  const attack::EvasionAttack attack(config);
+  std::size_t edited = 0;
+  for (std::size_t i = 0; i < 40; i += 2) {
+    const attack::AttackResult got = attack.attack_window(model, f.test_windows[i]);
+    const attack::AttackResult want = attack.attack_window(reference, f.test_windows[i]);
+    EXPECT_EQ(got.success, want.success) << "window " << i;
+    EXPECT_EQ(got.edits, want.edits) << "window " << i;
+    EXPECT_EQ(got.benign_prediction, want.benign_prediction) << "window " << i;
+    EXPECT_EQ(got.adversarial_prediction, want.adversarial_prediction) << "window " << i;
+    ASSERT_TRUE(got.adversarial_features.same_shape(want.adversarial_features));
+    for (std::size_t t = 0; t < got.adversarial_features.rows(); ++t) {
+      for (std::size_t c = 0; c < got.adversarial_features.cols(); ++c) {
+        EXPECT_EQ(got.adversarial_features(t, c), want.adversarial_features(t, c))
+            << "window " << i << " t " << t << " c " << c;
+      }
+    }
+    edited += got.edits > 0 ? 1 : 0;
+  }
+  EXPECT_GT(edited, 0u);
 }
 
 /// The planner takes windows by pointer, as predict_batch hands them over.

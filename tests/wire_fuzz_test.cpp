@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/error.hpp"
@@ -224,6 +226,31 @@ void fuzz_transport(const common::Endpoint& endpoint, std::uint64_t seed) {
     const std::string valid = frame_bytes(wire::MessageType::kStats, {});
     drive_mutation(endpoint, valid + mutate(corpus[round % corpus.size()], rng));
   }
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(WireFuzz, LyingLengthHeaderCostsOnlyTheBytesThatArrive) {
+  // A header that declares a 1 GiB payload, then the peer hangs up: the
+  // reader must fail typed without ever holding the declared length.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  common::Socket reader(fds[0]);
+  {
+    common::Socket peer(fds[1]);
+    std::string header = frame_bytes(wire::MessageType::kScore, "");
+    const std::uint64_t lie = std::uint64_t{1} << 30;
+    ASSERT_LE(lie, wire::kMaxPayloadBytes);
+    std::memcpy(header.data() + 12, &lie, 8);
+    peer.write_all(header.data(), header.size());
+  }
+  const long before_kb = peak_rss_kb();
+  EXPECT_THROW((void)wire::recv_frame(reader), common::SerializationError);
+  EXPECT_LT(peak_rss_kb() - before_kb, 64L * 1024);
 }
 
 TEST(WireFuzz, MutatedFramesNeverCrashOrWedgeEitherTransport) {
