@@ -1,8 +1,9 @@
 // Kernel microbenchmarks across the substrate: the nn::simd dispatch lanes
 // (scalar vs the best vector lane, per kernel), pack_step_major, LSTM
 // forward/backward, BiLSTM forecaster inference, glucose simulation, window
-// extraction, scaling and matrix multiplication. One place to watch for
-// performance regressions in the primitives every experiment depends on.
+// extraction, scaling, matrix multiplication and the kNN detector's scan.
+// One place to watch for performance regressions in the primitives every
+// experiment depends on.
 // Lane-comparison records land in BENCH_kernels.json.
 #include "bench_common.hpp"
 
@@ -13,6 +14,7 @@
 #include "data/scaler.hpp"
 #include "data/timeseries.hpp"
 #include "data/window.hpp"
+#include "detect/knn.hpp"
 #include "nn/lstm.hpp"
 #include "nn/matrix.hpp"
 #include "nn/simd.hpp"
@@ -236,6 +238,29 @@ void record_kernel_lanes(std::vector<bench::BenchRecord>& records) {
     records.push_back(time_kernel("fast_tanh_96_" + lane, reps, [&] {
       kt.fast_tanh_n(gate_pre.data(), trans_out.data(), 4 * h);
       benchmark::DoNotOptimize(trans_out.data());
+    }));
+  }
+
+  // The kNN detector's exact scan on the active lane: one query against
+  // 800 and 6000 reference points of dim 5 (the mini fleet's and the
+  // per-class cap's sizes), i.e. the per-window cost of a served kNN
+  // score_batch.
+  for (const std::size_t n : {std::size_t{800}, std::size_t{6000}}) {
+    common::Rng knn_rng(31);
+    std::vector<nn::Matrix> benign;
+    std::vector<nn::Matrix> malicious;
+    for (std::size_t i = 0; i < n / 2; ++i) {
+      benign.push_back(random_matrix(1, 5, knn_rng));
+      malicious.push_back(random_matrix(1, 5, knn_rng));
+    }
+    detect::KnnDetector knn;
+    knn.fit(benign, malicious);
+    std::vector<nn::Matrix> queries;
+    for (std::size_t i = 0; i < 16; ++i) queries.push_back(random_matrix(1, 5, knn_rng));
+    std::size_t next = 0;
+    records.push_back(time_kernel("knn_scan_" + std::to_string(n) + "x5",
+                                  bench::bench_reps(4000), [&] {
+      benchmark::DoNotOptimize(knn.anomaly_score(queries[next++ % queries.size()]));
     }));
   }
 

@@ -102,6 +102,12 @@ MappedSegment::~MappedSegment() {
 #endif
 }
 
+void MappedSegment::release_resident_pages() const noexcept {
+#if GOODONES_HAS_MMAP
+  if (mapped_) ::madvise(const_cast<std::byte*>(data_), size_, MADV_DONTNEED);
+#endif
+}
+
 // --- Segment -----------------------------------------------------------------
 
 Segment::Segment(std::size_t channels, std::size_t capacity, std::uint64_t start_tick)
@@ -229,6 +235,7 @@ std::shared_ptr<const Segment> Segment::load(const std::filesystem::path& path,
       throw SerializationError("segment holds invalid regime byte: " + path.string());
     }
   }
+  mapping->release_resident_pages();
 
   auto segment = std::shared_ptr<Segment>(new Segment());
   segment->channels_ = channels;
@@ -406,6 +413,9 @@ void ColumnStore::append_block(std::string_view entity, const nn::Matrix& ticks,
 
 void ColumnStore::seal_active(const std::string& entity, EntityColumns& columns) {
   if (!config_.root.empty()) {
+    // Latest windows straddle only the newest sealed segment's tail, so
+    // the one before it goes cold once this seal lands.
+    if (!columns.sealed.empty()) columns.sealed.back()->release_resident_pages();
     const auto path = segment_path(entity_dir(entity), columns.sealed.size());
     columns.active->save(path);
     // Swap in the mapped twin. Any WindowView still holding the writable

@@ -25,7 +25,9 @@
 //    by an mmap-backed read-only twin (MappedSegment RAII over
 //    mmap/munmap, with a portable read()-fallback). Reopening a root
 //    directory restores every entity's history; a partial trailing segment
-//    resumes appending where it left off.
+//    resumes appending where it left off. A mapped segment drops its pages
+//    from the resident set after validation and again once the next seal
+//    makes it cold, so resident memory does not grow with history.
 //  - Corrupt or truncated segment files always raise
 //    common::SerializationError, never crash, and leave the store empty.
 #pragma once
@@ -74,6 +76,12 @@ class MappedSegment {
   std::size_t size() const noexcept { return size_; }
   /// True when backed by a live mmap (false = read() fallback buffer).
   bool memory_mapped() const noexcept { return mapped_; }
+
+  /// Drops the mapped pages from this process's resident set; they stay in
+  /// the page cache and fault back in when a window reads them. Validating
+  /// a segment reads all of it, so without this every sealed segment of an
+  /// entity's history would stay resident. No-op for the read() fallback.
+  void release_resident_pages() const noexcept;
 
  private:
   const std::byte* data_ = nullptr;
@@ -127,6 +135,12 @@ class Segment {
   /// Bytes held by the backing file mapping (0 for writable segments).
   std::size_t mapped_bytes() const noexcept { return mapping_ ? mapping_->size() : 0; }
   bool memory_mapped() const noexcept { return mapping_ && mapping_->memory_mapped(); }
+
+  /// MappedSegment::release_resident_pages for a sealed segment; no-op for
+  /// a writable one.
+  void release_resident_pages() const noexcept {
+    if (mapping_) mapping_->release_resident_pages();
+  }
 
  private:
   Segment() = default;

@@ -4,10 +4,11 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <tuple>
 
 #include "common/error.hpp"
-#include "data/window.hpp"
 #include "nn/serialize.hpp"
+#include "nn/simd.hpp"
 
 namespace goodones::detect {
 
@@ -15,18 +16,20 @@ namespace {
 
 constexpr std::uint32_t kKnnTag = 0x4B4E4E44;  // "KNND"
 
-/// Minkowski distance of order p between a query and a training row.
-double minkowski(const std::vector<double>& a, std::span<const double> b, double p) {
-  double sum = 0.0;
-  if (p == 2.0) {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const double d = a[i] - b[i];
-      sum += d * d;
-    }
-    return std::sqrt(sum);
+/// Reference points scored per kernel call: the chunk's keys stay in L1
+/// between the distance pass and the heap pass.
+constexpr std::size_t kChunkRows = 256;
+
+/// Minkowski distances of order p (p != 2) from `query` to n column-major
+/// points, each summed in ascending coordinate order.
+void minkowski_distances(const double* query, const double* cols, std::size_t ld,
+                         std::size_t n, std::size_t dim, double p, double* out) {
+  std::fill(out, out + n, 0.0);
+  for (std::size_t c = 0; c < dim; ++c) {
+    const double* col = cols + c * ld;
+    for (std::size_t r = 0; r < n; ++r) out[r] += std::pow(std::abs(query[c] - col[r]), p);
   }
-  for (std::size_t i = 0; i < a.size(); ++i) sum += std::pow(std::abs(a[i] - b[i]), p);
-  return std::pow(sum, 1.0 / p);
+  for (std::size_t r = 0; r < n; ++r) out[r] = std::pow(out[r], 1.0 / p);
 }
 
 /// Deterministic stride subsample of `windows` down to at most `cap` rows.
@@ -62,47 +65,72 @@ void KnnDetector::fit(const std::vector<nn::Matrix>& benign,
   const auto malicious_sample = subsample(malicious, config_.max_points_per_class);
 
   const std::size_t dim = benign_sample.front()->size();
-  points_ = nn::Matrix(benign_sample.size() + malicious_sample.size(), dim);
-  labels_.assign(points_.rows(), 0);
+  const std::size_t n = benign_sample.size() + malicious_sample.size();
+  columns_ = nn::Matrix(dim, n);
+  labels_.assign(n, 0);
 
-  std::size_t row = 0;
-  for (const auto* w : benign_sample) {
-    const auto flat = data::flatten(*w);
-    GO_EXPECTS(flat.size() == dim);
-    std::copy(flat.begin(), flat.end(), points_.row(row).begin());
-    labels_[row] = 0;
-    ++row;
-  }
-  for (const auto* w : malicious_sample) {
-    const auto flat = data::flatten(*w);
-    GO_EXPECTS(flat.size() == dim);
-    std::copy(flat.begin(), flat.end(), points_.row(row).begin());
-    labels_[row] = 1;
-    ++row;
-  }
+  std::size_t j = 0;
+  const auto append = [&](const std::vector<const nn::Matrix*>& sample, std::uint8_t label) {
+    for (const nn::Matrix* w : sample) {
+      GO_EXPECTS(w->size() == dim);
+      for (std::size_t c = 0; c < dim; ++c) columns_(c, j) = w->data()[c];
+      labels_[j++] = label;
+    }
+  };
+  append(benign_sample, 0);
+  append(malicious_sample, 1);
 }
 
-double KnnDetector::malicious_neighbor_fraction(const std::vector<double>& query) const {
-  GO_EXPECTS(points_.rows() > 0);
-  GO_EXPECTS(query.size() == points_.cols());
-  const std::size_t k = std::min(config_.k, points_.rows());
+double KnnDetector::malicious_neighbor_fraction(const nn::Matrix& window,
+                                                std::vector<Neighbor>& heap) const {
+  const std::size_t n = labels_.size();
+  const std::size_t dim = columns_.rows();
+  GO_EXPECTS(n > 0);
+  GO_EXPECTS(window.size() == dim);
+  const std::size_t k = std::min(config_.k, n);
+  const bool euclidean = config_.minkowski_p == 2.0;
+  const nn::simd::KernelTable& kernels = nn::simd::active();
 
-  // Max-heap of (distance, label) over the best k seen so far.
-  std::vector<std::pair<double, std::uint8_t>> heap;
-  heap.reserve(k + 1);
-  for (std::size_t r = 0; r < points_.rows(); ++r) {
-    const double dist = minkowski(query, points_.row(r), config_.minkowski_p);
-    if (heap.size() < k) {
-      heap.emplace_back(dist, labels_[r]);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (dist < heap.front().first) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = {dist, labels_[r]};
-      std::push_heap(heap.begin(), heap.end());
+  // Max-heap of the best k seen so far, ordered lexicographically by
+  // (dist, label): equal distances break ties by label.
+  const auto closer = [](const Neighbor& a, const Neighbor& b) {
+    return std::tie(a.dist, a.label) < std::tie(b.dist, b.label);
+  };
+  heap.clear();
+  heap.reserve(k);
+  double keys[kChunkRows];
+  for (std::size_t first = 0; first < n; first += kChunkRows) {
+    const std::size_t rows = std::min(kChunkRows, n - first);
+    if (euclidean) {
+      kernels.squared_distances(window.data(), columns_.data() + first, n, rows, dim, keys);
+    } else {
+      minkowski_distances(window.data(), columns_.data() + first, n, rows, dim,
+                          config_.minkowski_p, keys);
+    }
+    std::size_t i = 0;
+    for (; i < rows && heap.size() < k; ++i) {
+      const double key = keys[i];
+      heap.push_back({key, euclidean ? std::sqrt(key) : key, labels_[first + i]});
+      std::push_heap(heap.begin(), heap.end(), closer);
+    }
+    // The heap is full from here on. A key >= the front's key has
+    // sqrt(key) >= front.dist (sqrt is monotone), which the distance test
+    // would reject, so only smaller keys pay the sqrt and the test.
+    double bound = heap.front().key;
+    for (; i < rows; ++i) {
+      const double key = keys[i];
+      if (!(key < bound)) continue;
+      const double dist = euclidean ? std::sqrt(key) : key;
+      if (dist < heap.front().dist) {
+        std::pop_heap(heap.begin(), heap.end(), closer);
+        heap.back() = {key, dist, labels_[first + i]};
+        std::push_heap(heap.begin(), heap.end(), closer);
+        bound = heap.front().key;
+      }
     }
   }
   std::size_t malicious = 0;
-  for (const auto& [dist, label] : heap) malicious += label;
+  for (const Neighbor& neighbor : heap) malicious += neighbor.label;
   return static_cast<double>(malicious) / static_cast<double>(heap.size());
 }
 
@@ -111,7 +139,7 @@ void KnnDetector::save(std::ostream& out) const {
   nn::write_u64(out, config_.k);
   nn::write_f64(out, config_.minkowski_p);
   nn::write_u64(out, config_.max_points_per_class);
-  nn::write_matrix(out, points_);
+  nn::write_matrix(out, columns_.transposed());
   nn::write_u8_vector(out, labels_);
 }
 
@@ -132,57 +160,21 @@ void KnnDetector::load(std::istream& in) {
     throw common::SerializationError("kNN artifact carries an invalid config");
   }
   config_ = config;
-  points_ = std::move(points);
+  columns_ = points.transposed();
   labels_ = std::move(labels);
 }
 
 double KnnDetector::anomaly_score(const nn::Matrix& window) const {
-  return malicious_neighbor_fraction(data::flatten(window));
+  std::vector<Neighbor> heap;
+  return malicious_neighbor_fraction(window, heap);
 }
 
 std::vector<double> KnnDetector::score_batch(std::span<const nn::Matrix> windows) const {
-  if (windows.empty()) return {};
-  GO_EXPECTS(points_.rows() > 0);
-  const std::size_t k = std::min(config_.k, points_.rows());
-
-  std::vector<std::vector<double>> queries;
-  queries.reserve(windows.size());
-  for (const nn::Matrix& window : windows) {
-    queries.push_back(data::flatten(window));
-    GO_EXPECTS(queries.back().size() == points_.cols());
-  }
-
-  // One pass over the reference set serves every query: training rows are
-  // visited in blocks small enough to stay cache-resident across the inner
-  // query loop. Each query still sees rows in index order, so its heap goes
-  // through exactly the per-query scan's states (bitwise-identical scores).
-  std::vector<std::vector<std::pair<double, std::uint8_t>>> heaps(queries.size());
-  for (auto& heap : heaps) heap.reserve(k + 1);
-  constexpr std::size_t kBlockRows = 256;
-  for (std::size_t block = 0; block < points_.rows(); block += kBlockRows) {
-    const std::size_t block_end = std::min(points_.rows(), block + kBlockRows);
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      auto& heap = heaps[q];
-      for (std::size_t r = block; r < block_end; ++r) {
-        const double dist = minkowski(queries[q], points_.row(r), config_.minkowski_p);
-        if (heap.size() < k) {
-          heap.emplace_back(dist, labels_[r]);
-          std::push_heap(heap.begin(), heap.end());
-        } else if (dist < heap.front().first) {
-          std::pop_heap(heap.begin(), heap.end());
-          heap.back() = {dist, labels_[r]};
-          std::push_heap(heap.begin(), heap.end());
-        }
-      }
-    }
-  }
-
   std::vector<double> scores;
-  scores.reserve(queries.size());
-  for (const auto& heap : heaps) {
-    std::size_t malicious = 0;
-    for (const auto& [dist, label] : heap) malicious += label;
-    scores.push_back(static_cast<double>(malicious) / static_cast<double>(heap.size()));
+  scores.reserve(windows.size());
+  std::vector<Neighbor> heap;
+  for (const nn::Matrix& window : windows) {
+    scores.push_back(malicious_neighbor_fraction(window, heap));
   }
   return scores;
 }

@@ -5,6 +5,19 @@
 // Supervised: trained on benign windows plus malicious windows from the
 // simulated attack; a window is flagged when the majority of its k nearest
 // training points are malicious.
+//
+// Queries are an exact brute-force scan. The reference points are stored
+// once, column-major (dim x n), so the dispatched squared-distance kernel
+// (nn::simd KernelTable::squared_distances) streams each column and
+// computes many points per instruction; every point's sum still adds its
+// coordinates in ascending order, bit-identical to a per-point loop. The
+// neighbor heap orders by (distance, label), but for p = 2 a point only
+// pays its sqrt and heap test while the heap is not yet full or when its
+// squared distance is below the heap front's. IEEE sqrt is correctly
+// rounded and hence monotone, so every skipped point would have failed the
+// distance test anyway: the heap passes through exactly the states of an
+// unfiltered scan and every vote is bitwise the same. Other orders p
+// compute every distance.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +47,8 @@ class KnnDetector final : public AnomalyDetector {
   /// Majority vote of the k nearest neighbors.
   bool flags(const nn::Matrix& window) const override;
 
-  /// Batched queries: the training matrix is walked in row blocks sized to
-  /// stay cache-resident while every query in the batch updates its own
-  /// neighbor heap, so one pass over the reference set serves the whole
-  /// batch. Each query still visits training rows in index order —
-  /// scores are bitwise-identical to per-window anomaly_score.
+  /// One scan per window with a neighbor heap shared across the batch;
+  /// bitwise-identical to per-window anomaly_score.
   std::vector<double> score_batch(std::span<const nn::Matrix> windows) const override;
 
   bool flags_from_score(const nn::Matrix& /*window*/, double score) const override {
@@ -47,24 +57,35 @@ class KnnDetector final : public AnomalyDetector {
 
   std::string name() const override { return "kNN"; }
 
-  /// Persists config + training points; a reloaded detector votes
-  /// bit-identically on every query.
+  /// Persists config + training points (row-major, one point per row, so
+  /// the artifact bytes do not depend on the in-memory layout); a reloaded
+  /// detector votes bit-identically on every query.
   void save(std::ostream& out) const override;
   void load(std::istream& in) override;
 
   /// Per-sample classification, as in the paper's Fig. 5.
   InputGranularity granularity() const override { return InputGranularity::kSample; }
 
-  std::size_t train_size() const noexcept { return points_.rows(); }
+  std::size_t train_size() const noexcept { return labels_.size(); }
 
   /// Flattened training-point width (0 before fit).
-  std::size_t input_width() const noexcept override { return points_.cols(); }
+  std::size_t input_width() const noexcept override { return columns_.rows(); }
 
  private:
-  double malicious_neighbor_fraction(const std::vector<double>& query) const;
+  struct Neighbor {
+    double key;   // what the scan filters on: squared distance for p = 2
+    double dist;  // Minkowski distance; the heap orders by (dist, label)
+    std::uint8_t label;
+  };
+
+  /// The one scan: k nearest reference points of `window`, read in place
+  /// as its row-major flattening. `heap` is caller-owned scratch so a batch
+  /// allocates it once.
+  double malicious_neighbor_fraction(const nn::Matrix& window,
+                                     std::vector<Neighbor>& heap) const;
 
   KnnConfig config_;
-  nn::Matrix points_;           // train points, one flattened window per row
+  nn::Matrix columns_;  // train points column-major: dim x n, column j = point j
   std::vector<std::uint8_t> labels_;  // 1 = malicious
 };
 

@@ -161,7 +161,7 @@ void MadGan::fit(const std::vector<nn::Matrix>& benign,
         const nn::Matrix grad_fake =
             discriminator_backward(discriminator_, bce_grad(p_fake, 1.0) / batch, dc, hc);
         const nn::Matrix grad_hidden = generator_.projection.backward(grad_fake, pc);
-        generator_.lstm.backward(grad_hidden, gc);
+        generator_.lstm.backward_params(grad_hidden, gc);
       }
       // Discard the D gradients accumulated while backpropagating into G.
       nn::zero_all_grads(d_params);

@@ -199,6 +199,46 @@ GOODONES_AVX2 inline void axpy(double alpha, const double* x, double* y, std::si
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+GOODONES_AVX2 inline void squared_distances(const double* query, const double* cols,
+                                            std::size_t ld, std::size_t n, std::size_t dim,
+                                            double* out) {
+  std::size_t r = 0;
+  // Sixteen rows stay in registers across every column; each row's sum
+  // still adds its columns' d*d in ascending order, starting from +0.0.
+  for (; r + 16 <= n; r += 16) {
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    __m256d acc2 = _mm256_setzero_pd();
+    __m256d acc3 = _mm256_setzero_pd();
+    for (std::size_t c = 0; c < dim; ++c) {
+      const __m256d q = _mm256_set1_pd(query[c]);
+      const double* col = cols + c * ld + r;
+      const __m256d d0 = _mm256_sub_pd(q, _mm256_loadu_pd(col));
+      const __m256d d1 = _mm256_sub_pd(q, _mm256_loadu_pd(col + 4));
+      const __m256d d2 = _mm256_sub_pd(q, _mm256_loadu_pd(col + 8));
+      const __m256d d3 = _mm256_sub_pd(q, _mm256_loadu_pd(col + 12));
+      acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(d0, d0));
+      acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(d1, d1));
+      acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(d2, d2));
+      acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(d3, d3));
+    }
+    _mm256_storeu_pd(out + r, acc0);
+    _mm256_storeu_pd(out + r + 4, acc1);
+    _mm256_storeu_pd(out + r + 8, acc2);
+    _mm256_storeu_pd(out + r + 12, acc3);
+  }
+  for (; r + 4 <= n; r += 4) {
+    __m256d acc = _mm256_setzero_pd();
+    for (std::size_t c = 0; c < dim; ++c) {
+      const __m256d d =
+          _mm256_sub_pd(_mm256_set1_pd(query[c]), _mm256_loadu_pd(cols + c * ld + r));
+      acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+    }
+    _mm256_storeu_pd(out + r, acc);
+  }
+  scalar_kernels::squared_distances(query, cols + r, ld, n - r, dim, out + r);
+}
+
 GOODONES_AVX2 inline void lstm_gates(const double* pre, std::size_t h, double* cell,
                                      double* hidden) {
   std::size_t j = 0;

@@ -156,6 +156,34 @@ inline void axpy(double alpha, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+inline void squared_distances(const double* query, const double* cols, std::size_t ld,
+                              std::size_t n, std::size_t dim, double* out) {
+  std::size_t r = 0;
+  for (; r + 8 <= n; r += 8) {
+    float64x2_t acc0 = vdupq_n_f64(0.0);
+    float64x2_t acc1 = vdupq_n_f64(0.0);
+    float64x2_t acc2 = vdupq_n_f64(0.0);
+    float64x2_t acc3 = vdupq_n_f64(0.0);
+    for (std::size_t c = 0; c < dim; ++c) {
+      const float64x2_t q = vdupq_n_f64(query[c]);
+      const double* col = cols + c * ld + r;
+      const float64x2_t d0 = vsubq_f64(q, vld1q_f64(col));
+      const float64x2_t d1 = vsubq_f64(q, vld1q_f64(col + 2));
+      const float64x2_t d2 = vsubq_f64(q, vld1q_f64(col + 4));
+      const float64x2_t d3 = vsubq_f64(q, vld1q_f64(col + 6));
+      acc0 = vaddq_f64(acc0, vmulq_f64(d0, d0));
+      acc1 = vaddq_f64(acc1, vmulq_f64(d1, d1));
+      acc2 = vaddq_f64(acc2, vmulq_f64(d2, d2));
+      acc3 = vaddq_f64(acc3, vmulq_f64(d3, d3));
+    }
+    vst1q_f64(out + r, acc0);
+    vst1q_f64(out + r + 2, acc1);
+    vst1q_f64(out + r + 4, acc2);
+    vst1q_f64(out + r + 6, acc3);
+  }
+  scalar_kernels::squared_distances(query, cols + r, ld, n - r, dim, out + r);
+}
+
 inline void lstm_gates(const double* pre, std::size_t h, double* cell, double* hidden) {
   std::size_t j = 0;
   for (; j + 2 <= h; j += 2) {

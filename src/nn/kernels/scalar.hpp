@@ -81,6 +81,19 @@ inline void axpy(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+inline void squared_distances(const double* query, const double* cols, std::size_t ld,
+                              std::size_t n, std::size_t dim, double* out) {
+  for (std::size_t r = 0; r < n; ++r) out[r] = 0.0;
+  for (std::size_t c = 0; c < dim; ++c) {
+    const double q = query[c];
+    const double* col = cols + c * ld;
+    for (std::size_t r = 0; r < n; ++r) {
+      const double d = q - col[r];
+      out[r] += d * d;
+    }
+  }
+}
+
 inline void lstm_gates(const double* pre, std::size_t h, double* cell, double* hidden) {
   tmath::lstm_gates_range(pre, h, 0, cell, hidden);
 }

@@ -339,6 +339,8 @@ std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidd
     }
     // dh_next = dpre * Wh^T for the whole batch in one GEMM; each output
     // element is the same j-ascending dot product the scalar loop runs.
+    // Step 0 has no previous state, so nothing reads its dh_next.
+    if (t == 0) break;
     dh_next = matmul_trans_b(dpre_t, w_h_.value);
   }
 

@@ -24,14 +24,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-std::span<double> Matrix::row(std::size_t r) noexcept {
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<const double> Matrix::row(std::size_t r) const noexcept {
-  return {data_.data() + r * cols_, cols_};
-}
-
 void Matrix::fill(double value) noexcept {
   for (double& x : data_) x = value;
 }

@@ -37,8 +37,10 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const noexcept { return data_[r * cols_ + c]; }
 
   /// Mutable/const view of a single row.
-  std::span<double> row(std::size_t r) noexcept;
-  std::span<const double> row(std::size_t r) const noexcept;
+  std::span<double> row(std::size_t r) noexcept { return {data_.data() + r * cols_, cols_}; }
+  std::span<const double> row(std::size_t r) const noexcept {
+    return {data_.data() + r * cols_, cols_};
+  }
 
   double* data() noexcept { return data_.data(); }
   const double* data() const noexcept { return data_.data(); }

@@ -20,6 +20,7 @@ constexpr KernelTable kScalarTable = {
     &scalar_kernels::matmul_ta_acc,
     &scalar_kernels::matmul_tb_acc,
     &scalar_kernels::axpy,
+    &scalar_kernels::squared_distances,
     &scalar_kernels::lstm_gates,
     &scalar_kernels::lstm_gates_cached,
     &scalar_kernels::lstm_gates_fast,
@@ -37,6 +38,7 @@ constexpr KernelTable kAvx2Table = {
     &avx2_kernels::matmul_ta_acc,
     &avx2_kernels::matmul_tb_acc,
     &avx2_kernels::axpy,
+    &avx2_kernels::squared_distances,
     &avx2_kernels::lstm_gates,
     &avx2_kernels::lstm_gates_cached,
     &avx2_kernels::lstm_gates_fast,
@@ -55,6 +57,7 @@ constexpr KernelTable kNeonTable = {
     &neon_kernels::matmul_ta_acc,
     &neon_kernels::matmul_tb_acc,
     &neon_kernels::axpy,
+    &neon_kernels::squared_distances,
     &neon_kernels::lstm_gates,
     &neon_kernels::lstm_gates_cached,
     &neon_kernels::lstm_gates_fast,

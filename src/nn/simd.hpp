@@ -52,6 +52,14 @@ struct KernelTable {
                         std::size_t k, std::size_t n);
   /// y += alpha * x over n elements.
   void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
+  /// out[r] = sum over ascending c of (query[c] - cols[c * ld + r])^2 for r
+  /// in [0, n): squared Euclidean distances from one dim-wide query to n
+  /// points stored column-major (column c of the points starts at
+  /// cols + c * ld). Each row starts from +0.0 and adds d*d per column, a
+  /// separate mul then add, so every lane sums exactly like a row-major
+  /// per-point loop.
+  void (*squared_distances)(const double* query, const double* cols, std::size_t ld,
+                            std::size_t n, std::size_t dim, double* out);
 
   /// Fused LSTM gate math over one 4h-wide pre-activation row laid out as
   /// [input, forget, cell, output]. Updates cell and hidden (h each) in

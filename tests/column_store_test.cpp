@@ -9,6 +9,7 @@
 // serving-level half lives in serve_ingest_test.cpp).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -176,6 +177,51 @@ TEST(ColumnStore, MmapAndReadFallbackBitwiseEqual) {
       for (std::size_t c = 0; c < a.cols(); ++c) ASSERT_EQ(a(t, c), b(t, c));
     }
   }
+  std::filesystem::remove_all(root);
+}
+
+/// Resident kB of this process's mappings of files under `root`, read from
+/// /proc/self/smaps; -1 where that file does not exist.
+long resident_kb_under(const std::filesystem::path& root) {
+  std::ifstream in("/proc/self/smaps");
+  if (!in) return -1;
+  long total = 0;
+  bool inside = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    // Mapping headers start with the lowercase-hex address range; field
+    // lines ("Rss:   12 kB") start with an uppercase key.
+    if (!line.empty() && std::isxdigit(static_cast<unsigned char>(line[0])) &&
+        !std::isupper(static_cast<unsigned char>(line[0]))) {
+      inside = line.find(root.string()) != std::string::npos;
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      total += std::stol(line.substr(4));
+    }
+  }
+  return total;
+}
+
+TEST(ColumnStore, SealedHistoryDoesNotStayResident) {
+  const auto root = scratch_root("resident");
+  ColumnStoreConfig config;
+  config.root = root;
+  config.segment_capacity = 4096;
+  constexpr std::uint64_t kSegments = 24;
+  {
+    ColumnStore store(config, 3);
+    for (std::uint64_t s = 0; s < kSegments; ++s) {
+      append_ticks(store, "E", s * 4096, 4096);  // seals one segment
+      // Serving reads the latest windows: the newest sealed segment's tail.
+      (void)store.latest_windows("E", 12, 16).back().materialize();
+    }
+    const long resident = resident_kb_under(root);
+    if (resident < 0) GTEST_SKIP() << "no /proc/self/smaps here";
+    const long segment_kb = static_cast<long>(store.stats().bytes_mapped / kSegments / 1024);
+    // Of the 24 sealed segments, at most the newest two stay mapped in.
+    EXPECT_LE(resident, 2 * segment_kb + 8) << "segment ~" << segment_kb << " kB";
+  }
+  ColumnStore reopened(config, 3);  // validates (reads) every sealed file
+  EXPECT_LE(resident_kb_under(root), 8);
   std::filesystem::remove_all(root);
 }
 

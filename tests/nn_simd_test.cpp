@@ -212,6 +212,24 @@ TEST_F(SimdKernelParity, AxpyBitwise) {
   }
 }
 
+TEST_F(SimdKernelParity, SquaredDistancesBitwise) {
+  common::Rng rng(0x5D15);
+  for (int trial = 0; trial < 60; ++trial) {
+    // Ragged point counts (n % 4 != 0 and n % 2 != 0 most trials) on both
+    // sides of the 16-point register block, inside a wider column stride.
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 70)) | 1;
+    const auto ld = n + static_cast<std::size_t>(rng.uniform_int(0, 5));
+    const auto dim = static_cast<std::size_t>(rng.uniform_int(1, 9));
+    const auto query = random_values(dim, rng);
+    const auto cols = random_values(dim * ld, rng);
+    std::vector<double> out_s(n, 123.0);  // must be fully overwritten
+    std::vector<double> out_v(n, -77.0);
+    scalar_->squared_distances(query.data(), cols.data(), ld, n, dim, out_s.data());
+    vec_->squared_distances(query.data(), cols.data(), ld, n, dim, out_v.data());
+    expect_bitwise(out_s, out_v, "squared_distances", trial);
+  }
+}
+
 TEST_F(SimdKernelParity, LstmGatesBitwise) {
   common::Rng rng(0x6A7E5);
   for (int trial = 0; trial < 50; ++trial) {
