@@ -1,7 +1,8 @@
 // Kernel microbenchmarks across the substrate: the nn::simd dispatch lanes
 // (scalar vs the best vector lane, per kernel), pack_step_major, LSTM
-// forward/backward, BiLSTM forecaster inference, glucose simulation, window
-// extraction, scaling, matrix multiplication and the kNN detector's scan.
+// forward/backward, BiLSTM forecaster inference and training, glucose
+// simulation, window extraction, scaling, matrix multiplication and the kNN
+// detector's scan.
 // One place to watch for performance regressions in the primitives every
 // experiment depends on.
 // Lane-comparison records land in BENCH_kernels.json.
@@ -279,6 +280,34 @@ void record_kernel_lanes(std::vector<bench::BenchRecord>& records) {
       for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::tanh(pre_row.data()[i]);
       benchmark::DoNotOptimize(out.data());
     }));
+  }
+
+  // One forecaster training window-epoch on the active lane at the BGMS
+  // fast-preset shape (H = 24, head 16, D = 4, T = 12, minibatch 32): a
+  // one-epoch train() over 256 windows — batched forward, batched BPTT and
+  // the optimizer steps — divided by the windows it consumed.
+  {
+    bgms::CohortConfig cohort_config;
+    cohort_config.train_steps = 600;
+    cohort_config.test_steps = 60;
+    const auto trace = bgms::generate_patient({bgms::Subset::kA, 0}, cohort_config);
+    const auto series = bgms::to_series(trace.train);
+    predict::ForecasterConfig config;
+    config.hidden = 24;
+    config.head_hidden = 16;
+    config.batch_size = 32;
+    config.epochs = 1;
+    predict::BiLstmForecaster model(
+        config, predict::fit_forecaster_scaler(series.values, bgms::kCgm, bgms::kMinGlucose,
+                                               bgms::kMaxGlucose));
+    const auto all = data::make_windows(series, {});
+    const std::vector<data::Window> windows(all.begin(), all.begin() + 256);
+    bench::BenchRecord record = time_kernel("forecaster_train_window_epoch",
+                                            bench::bench_reps(20), [&] {
+      benchmark::DoNotOptimize(model.train(windows));
+    });
+    record.ns_per_op /= static_cast<double>(windows.size());
+    records.push_back(record);
   }
 
   // pack_step_major: the contiguous single-block memcpy fast path vs the

@@ -5,6 +5,8 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -33,6 +35,15 @@ std::vector<const nn::Matrix*> subsample(const std::vector<nn::Matrix>& windows,
     out.push_back(&windows[static_cast<std::size_t>(static_cast<double>(i) * stride)]);
   }
   return out;
+}
+
+/// The discriminator LSTM's hidden-state gradient (steps x H) from its
+/// head's input gradient (1 x H): the head reads only the last hidden state.
+nn::Matrix discriminator_hidden_grad(const nn::Matrix& grad_last, std::size_t steps) {
+  nn::Matrix grad_hidden(steps, grad_last.cols());
+  std::copy(grad_last.row(0).begin(), grad_last.row(0).end(),
+            grad_hidden.row(steps - 1).begin());
+  return grad_hidden;
 }
 
 /// BCE gradient d/dp of -[y log p + (1-y) log(1-p)] with clamping.
@@ -93,18 +104,6 @@ double MadGan::discriminator_forward(const Discriminator& d, const nn::Matrix& x
   return prob(0, 0);
 }
 
-nn::Matrix MadGan::discriminator_backward(Discriminator& d, double grad_prob,
-                                          const nn::Lstm::Cache& lstm_cache,
-                                          const nn::Dense::Cache& head_cache) {
-  nn::Matrix grad_out(1, 1);
-  grad_out(0, 0) = grad_prob;
-  const nn::Matrix grad_last = d.head.backward(grad_out, head_cache);
-  nn::Matrix grad_hidden(lstm_cache.hidden.rows(), lstm_cache.hidden.cols());
-  std::copy(grad_last.row(0).begin(), grad_last.row(0).end(),
-            grad_hidden.row(grad_hidden.rows() - 1).begin());
-  return d.lstm.backward(grad_hidden, lstm_cache);
-}
-
 void MadGan::fit(const std::vector<nn::Matrix>& benign,
                  const std::vector<nn::Matrix>& /*malicious*/) {
   GO_EXPECTS(!benign.empty());
@@ -125,6 +124,11 @@ void MadGan::fit(const std::vector<nn::Matrix>& benign,
   std::vector<std::size_t> order(train.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
+  // Per-step batches of LSTM caches and hidden-state gradients.
+  std::vector<nn::Lstm::Cache> d_caches;
+  std::vector<nn::Matrix> d_grads;
+  std::vector<nn::Lstm::Cache> g_caches;
+  std::vector<nn::Matrix> g_grads;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.shuffle(order);
     for (std::size_t start = 0; start < order.size(); start += config_.batch_size) {
@@ -132,39 +136,51 @@ void MadGan::fit(const std::vector<nn::Matrix>& benign,
       const auto batch = static_cast<double>(end - start);
 
       // ---- Discriminator step: real -> 1, fake -> 0. ----
-      for (std::size_t b = start; b < end; ++b) {
-        const nn::Matrix& real = *train[order[b]];
-        nn::Lstm::Cache dc;
+      // The head backpropagates per window; the LSTM's caches and hidden
+      // gradients are collected in the same order (real, fake per window)
+      // and backpropagated in one batched pass, which adds the parameter
+      // gradients in that order. dX is never needed here.
+      d_caches.clear();
+      d_grads.clear();
+      const auto discriminate = [&](const nn::Matrix& x, double target) {
         nn::Dense::Cache hc;
-        const double p_real = discriminator_forward(discriminator_, real, dc, hc);
-        discriminator_backward(discriminator_, bce_grad(p_real, 1.0) / batch, dc, hc);
-
+        d_caches.emplace_back();
+        const double p = discriminator_forward(discriminator_, x, d_caches.back(), hc);
+        const nn::Matrix grad_last =
+            discriminator_.head.backward(nn::Matrix(1, 1, bce_grad(p, target) / batch), hc);
+        d_grads.push_back(discriminator_hidden_grad(grad_last, d_caches.back().hidden.rows()));
+      };
+      for (std::size_t b = start; b < end; ++b) {
+        discriminate(*train[order[b]], 1.0);
         nn::Lstm::Cache gc;
         nn::Dense::Cache pc;
-        const nn::Matrix fake = generator_forward(generator_, sample_latent(rng), gc, pc);
-        nn::Lstm::Cache dc2;
-        nn::Dense::Cache hc2;
-        const double p_fake = discriminator_forward(discriminator_, fake, dc2, hc2);
-        discriminator_backward(discriminator_, bce_grad(p_fake, 0.0) / batch, dc2, hc2);
+        discriminate(generator_forward(generator_, sample_latent(rng), gc, pc), 0.0);
       }
+      discriminator_.lstm.backward_params(d_grads, d_caches);
       nn::clip_global_grad_norm(d_params, config_.grad_clip);
       d_optimizer.step_and_zero(d_params);
 
       // ---- Generator step: make D call fakes real. ----
+      // D only transports the gradient to its input here (const dx-only
+      // passes, so D's gradients stay zero); the generator LSTM runs one
+      // batched parameter pass over the step's windows, in window order.
+      g_caches.resize(end - start);
+      g_grads.resize(end - start);
       for (std::size_t b = start; b < end; ++b) {
-        nn::Lstm::Cache gc;
+        nn::Lstm::Cache& gc = g_caches[b - start];
         nn::Dense::Cache pc;
         const nn::Matrix fake = generator_forward(generator_, sample_latent(rng), gc, pc);
         nn::Lstm::Cache dc;
         nn::Dense::Cache hc;
         const double p_fake = discriminator_forward(discriminator_, fake, dc, hc);
-        const nn::Matrix grad_fake =
-            discriminator_backward(discriminator_, bce_grad(p_fake, 1.0) / batch, dc, hc);
-        const nn::Matrix grad_hidden = generator_.projection.backward(grad_fake, pc);
-        generator_.lstm.backward_params(grad_hidden, gc);
+        const nn::Matrix grad_last = discriminator_.head.backward_input(
+            nn::Matrix(1, 1, bce_grad(p_fake, 1.0) / batch), hc);
+        const nn::Matrix grad_hidden = discriminator_hidden_grad(grad_last, dc.hidden.rows());
+        const nn::Matrix grad_fake = std::move(discriminator_.lstm.backward_input_batch(
+            std::span(&grad_hidden, 1), std::span(&dc, 1)).front());
+        g_grads[b - start] = generator_.projection.backward(grad_fake, pc);
       }
-      // Discard the D gradients accumulated while backpropagating into G.
-      nn::zero_all_grads(d_params);
+      generator_.lstm.backward_params(g_grads, g_caches);
       nn::clip_global_grad_norm(g_params, config_.grad_clip);
       g_optimizer.step_and_zero(g_params);
     }
@@ -194,26 +210,42 @@ double MadGan::discrimination_score(const nn::Matrix& window) const {
 
 double MadGan::reconstruction_error(const nn::Matrix& window) const {
   GO_EXPECTS(fitted_);
-  // Latent-space inversion on a scratch generator (keeps this const and
-  // thread-safe; backward only touches the scratch's gradient buffers).
-  Generator scratch = generator_;
-  nn::Matrix z = inversion_z0_;
+  return reconstruction_errors(std::span(&window, 1)).front();
+}
 
-  double best = std::numeric_limits<double>::infinity();
+std::vector<double> MadGan::reconstruction_errors(std::span<const nn::Matrix> windows) const {
+  // Batched latent inversion, three amortizations per gradient step —
+  // (1) the generator LSTM runs forward over every window's latent
+  // trajectory as packed per-timestep GEMMs, (2) the reverse pass computes
+  // input gradients only (the inversion never reads parameter gradients,
+  // so the dW/dWh GEMMs are skipped and no generator copy is needed to stay
+  // const), with the recurrent transport batched, and (3) the projection
+  // gradient flows through the const backward_input. Each window's value
+  // depends on that window alone.
+  const std::size_t batch = windows.size();
+  std::vector<nn::Matrix> z(batch, inversion_z0_);
+  std::vector<double> best(batch, std::numeric_limits<double>::infinity());
+  std::vector<nn::Lstm::Cache> lstm_caches;
+  std::vector<nn::Matrix> grad_hiddens(batch);
   for (std::size_t step = 0; step < config_.inversion_steps; ++step) {
-    nn::Lstm::Cache gc;
-    nn::Dense::Cache pc;
-    const nn::Matrix reconstructed = generator_forward(scratch, z, gc, pc);
-    const nn::LossResult loss = nn::mse_loss(reconstructed, window);
-    best = std::min(best, loss.value);
-
-    const nn::Matrix grad_hidden = scratch.projection.backward(loss.grad, pc);
-    const nn::Matrix grad_z = scratch.lstm.backward(grad_hidden, gc);
-    for (std::size_t t = 0; t < z.rows(); ++t) {
-      auto z_row = z.row(t);
-      const auto g_row = grad_z.row(t);
-      for (std::size_t c = 0; c < z_row.size(); ++c) {
-        z_row[c] -= config_.inversion_lr * g_row[c];
+    generator_.lstm.forward_batch_cached(z, lstm_caches);
+    for (std::size_t i = 0; i < batch; ++i) {
+      nn::Dense::Cache proj_cache;
+      const nn::Matrix reconstructed =
+          generator_.projection.forward_cached(lstm_caches[i].hidden, proj_cache);
+      const nn::LossResult loss = nn::mse_loss(reconstructed, windows[i]);
+      best[i] = std::min(best[i], loss.value);
+      grad_hiddens[i] = generator_.projection.backward_input(loss.grad, proj_cache);
+    }
+    const std::vector<nn::Matrix> grad_z =
+        generator_.lstm.backward_input_batch(grad_hiddens, lstm_caches);
+    for (std::size_t i = 0; i < batch; ++i) {
+      for (std::size_t t = 0; t < z[i].rows(); ++t) {
+        auto z_row = z[i].row(t);
+        const auto g_row = grad_z[i].row(t);
+        for (std::size_t c = 0; c < z_row.size(); ++c) {
+          z_row[c] -= config_.inversion_lr * g_row[c];
+        }
       }
     }
   }
@@ -251,40 +283,8 @@ std::vector<double> MadGan::score_batch(std::span<const nn::Matrix> windows) con
     disc[i] = 1.0 - discriminator_.head.forward(last)(0, 0);
   }
 
-  // Reconstruction term: batched latent inversion, three amortizations per
-  // gradient step — (1) the generator LSTM runs forward over every
-  // window's latent trajectory as packed per-timestep GEMMs, (2) the
-  // reverse pass computes input gradients only (the inversion never reads
-  // parameter gradients, so backward()'s dW/dWh GEMMs are skipped and no
-  // scratch net copy is needed), with the recurrent transport batched, and
-  // (3) the projection gradient flows through the const backward_input.
-  // Every per-window value is bit-identical to the scalar path's.
-  std::vector<nn::Matrix> z(batch, inversion_z0_);
-  std::vector<double> best(batch, std::numeric_limits<double>::infinity());
-  std::vector<nn::Lstm::Cache> lstm_caches;
-  std::vector<nn::Matrix> grad_hiddens(batch);
-  for (std::size_t step = 0; step < config_.inversion_steps; ++step) {
-    generator_.lstm.forward_batch_cached(z, lstm_caches);
-    for (std::size_t i = 0; i < batch; ++i) {
-      nn::Dense::Cache proj_cache;
-      const nn::Matrix reconstructed =
-          generator_.projection.forward_cached(lstm_caches[i].hidden, proj_cache);
-      const nn::LossResult loss = nn::mse_loss(reconstructed, windows[i]);
-      best[i] = std::min(best[i], loss.value);
-      grad_hiddens[i] = generator_.projection.backward_input(loss.grad, proj_cache);
-    }
-    const std::vector<nn::Matrix> grad_z =
-        generator_.lstm.backward_input_batch(grad_hiddens, lstm_caches);
-    for (std::size_t i = 0; i < batch; ++i) {
-      for (std::size_t t = 0; t < z[i].rows(); ++t) {
-        auto z_row = z[i].row(t);
-        const auto g_row = grad_z[i].row(t);
-        for (std::size_t c = 0; c < z_row.size(); ++c) {
-          z_row[c] -= config_.inversion_lr * g_row[c];
-        }
-      }
-    }
-  }
+  // Reconstruction term: the batched latent inversion.
+  const std::vector<double> best = reconstruction_errors(windows);
 
   std::vector<double> scores(batch);
   for (std::size_t i = 0; i < batch; ++i) {

@@ -60,10 +60,10 @@ class MadGan final : public AnomalyDetector {
 
   /// Batched DR-scores for a request's windows. The discrimination term
   /// runs the whole batch through one nn::Lstm::run_batch; the latent
-  /// inversion shares a single scratch generator and batches every gradient
-  /// step's forward pass across windows (nn::Lstm::forward_batch_cached) —
-  /// the per-window path pays a generator copy plus an unbatched LSTM pass
-  /// per inversion step. Scores are bitwise-identical to anomaly_score.
+  /// inversion batches every gradient step's forward and backward pass
+  /// across windows (reconstruction_errors) — the per-window path runs the
+  /// same inversion over a batch of one. Scores are bitwise-identical to
+  /// anomaly_score.
   std::vector<double> score_batch(std::span<const nn::Matrix> windows) const override;
 
   bool flags_from_score(const nn::Matrix& /*window*/, double score) const override {
@@ -106,6 +106,10 @@ class MadGan final : public AnomalyDetector {
   };
 
   nn::Matrix sample_latent(common::Rng& rng) const;
+  /// Latent-inversion reconstruction error of each window (seq_len x
+  /// num_signals): gradient descent in latent space from the fixed start,
+  /// batched across windows; each value is that window's alone.
+  std::vector<double> reconstruction_errors(std::span<const nn::Matrix> windows) const;
   /// Both nets' parameters in a stable order (generator LSTM, generator
   /// projection, discriminator LSTM, discriminator head).
   nn::ParamRefs gan_parameters();
@@ -115,10 +119,6 @@ class MadGan final : public AnomalyDetector {
   static double discriminator_forward(const Discriminator& d, const nn::Matrix& x,
                                       nn::Lstm::Cache& lstm_cache,
                                       nn::Dense::Cache& head_cache);
-  /// Backward through D from dLoss/dprob; returns dLoss/dx.
-  static nn::Matrix discriminator_backward(Discriminator& d, double grad_prob,
-                                           const nn::Lstm::Cache& lstm_cache,
-                                           const nn::Dense::Cache& head_cache);
 
   MadGanConfig config_;
   common::Rng init_rng_;  // declared before the nets: deterministic init order

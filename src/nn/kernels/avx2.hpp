@@ -143,18 +143,42 @@ GOODONES_AVX2 inline void matmul_bias(const double* a, const double* b, const do
 
 GOODONES_AVX2 inline void matmul_ta_acc(const double* a, const double* b, double* out,
                                         std::size_t r, std::size_t m, std::size_t n) {
-  for (std::size_t kk = 0; kk < r; ++kk) {
-    const double* a_row = a + kk * m;
-    const double* b_row = b + kk * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const __m256d va = _mm256_set1_pd(a_row[i]);
-      double* out_row = out + i * n;
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const __m256d prod = _mm256_mul_pd(va, _mm256_loadu_pd(b_row + j));
-        _mm256_storeu_pd(out_row + j, _mm256_add_pd(_mm256_loadu_pd(out_row + j), prod));
+  for (std::size_t i = 0; i < m; ++i) {
+    double* out_row = out + i * n;
+    std::size_t j = 0;
+    // Register-blocked over r: each output tile is loaded and stored once,
+    // and its accumulators take the r products in ascending kk — the same
+    // per-element order as the scalar r-outer loop.
+    for (; j + 16 <= n; j += 16) {
+      __m256d acc0 = _mm256_loadu_pd(out_row + j);
+      __m256d acc1 = _mm256_loadu_pd(out_row + j + 4);
+      __m256d acc2 = _mm256_loadu_pd(out_row + j + 8);
+      __m256d acc3 = _mm256_loadu_pd(out_row + j + 12);
+      for (std::size_t kk = 0; kk < r; ++kk) {
+        const __m256d va = _mm256_set1_pd(a[kk * m + i]);
+        const double* b_row = b + kk * n + j;
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(va, _mm256_loadu_pd(b_row)));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(va, _mm256_loadu_pd(b_row + 4)));
+        acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(va, _mm256_loadu_pd(b_row + 8)));
+        acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(va, _mm256_loadu_pd(b_row + 12)));
       }
-      for (; j < n; ++j) out_row[j] += a_row[i] * b_row[j];
+      _mm256_storeu_pd(out_row + j, acc0);
+      _mm256_storeu_pd(out_row + j + 4, acc1);
+      _mm256_storeu_pd(out_row + j + 8, acc2);
+      _mm256_storeu_pd(out_row + j + 12, acc3);
+    }
+    for (; j + 4 <= n; j += 4) {
+      __m256d acc = _mm256_loadu_pd(out_row + j);
+      for (std::size_t kk = 0; kk < r; ++kk) {
+        const __m256d va = _mm256_set1_pd(a[kk * m + i]);
+        acc = _mm256_add_pd(acc, _mm256_mul_pd(va, _mm256_loadu_pd(b + kk * n + j)));
+      }
+      _mm256_storeu_pd(out_row + j, acc);
+    }
+    for (; j < n; ++j) {
+      double sum = out_row[j];
+      for (std::size_t kk = 0; kk < r; ++kk) sum += a[kk * m + i] * b[kk * n + j];
+      out_row[j] = sum;
     }
   }
 }

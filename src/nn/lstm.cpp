@@ -229,71 +229,12 @@ void Lstm::forward_batch_cached(std::span<const Matrix> sequences, std::vector<C
 
 Matrix Lstm::backward(const Matrix& grad_hidden, const Cache& cache) {
   // dX = dpre * Wx^T.
-  return matmul_trans_b(backward_params(grad_hidden, cache), w_x_.value);
+  return matmul_trans_b(
+      backward_params(std::span(&grad_hidden, 1), std::span(&cache, 1)).front(), w_x_.value);
 }
 
-Matrix Lstm::backward_params(const Matrix& grad_hidden, const Cache& cache) {
-  const std::size_t steps = cache.input.rows();
-  const std::size_t h = hidden_dim_;
-  GO_EXPECTS(grad_hidden.rows() == steps && grad_hidden.cols() == h);
-
-  Matrix grad_pre_all(steps, 4 * h);  // dLoss/d(pre-activations), all steps
-  std::vector<double> dh_next(h, 0.0);
-  std::vector<double> dc_next(h, 0.0);
-  const simd::KernelTable& kt = simd::active();
-
-  for (std::size_t t = steps; t-- > 0;) {
-    const auto gi = cache.gate_i.row(t);
-    const auto gf = cache.gate_f.row(t);
-    const auto gg = cache.gate_g.row(t);
-    const auto go = cache.gate_o.row(t);
-    const auto ctt = cache.cell_tanh.row(t);
-    const auto gh = grad_hidden.row(t);
-    auto dpre = grad_pre_all.row(t);
-
-    for (std::size_t j = 0; j < h; ++j) {
-      const double dh = gh[j] + dh_next[j];
-      const double dct = dh * go[j] * tanh_grad_from_output(ctt[j]) + dc_next[j];
-      const double c_prev = t > 0 ? cache.cell(t - 1, j) : 0.0;
-
-      const double di = dct * gg[j];
-      const double df = dct * c_prev;
-      const double dg = dct * gi[j];
-      const double do_ = dh * ctt[j];
-
-      dpre[j] = di * sigmoid_grad_from_output(gi[j]);
-      dpre[h + j] = df * sigmoid_grad_from_output(gf[j]);
-      dpre[2 * h + j] = dg * tanh_grad_from_output(gg[j]);
-      dpre[3 * h + j] = do_ * sigmoid_grad_from_output(go[j]);
-
-      dc_next[j] = dct * gf[j];
-    }
-
-    // dh_next = dpre * Wh^T (contribution to the previous hidden state) —
-    // each element is the same ascending-j dot product as before. Step 0
-    // has no previous state, so nothing reads its dh_next.
-    if (t == 0) break;
-    std::fill(dh_next.begin(), dh_next.end(), 0.0);
-    kt.matmul_tb_acc(dpre.data(), w_h_.value.data(), dh_next.data(), 1, 4 * h, h);
-  }
-
-  // Parameter gradients, batched over time:
-  //   dWx += x^T * dpre ; db += column sums of dpre ;
-  //   dWh += h_{t-1}^T * dpre (shift hidden by one step).
-  matmul_trans_a_accumulate(cache.input, grad_pre_all, w_x_.grad);
-  for (std::size_t t = 0; t < steps; ++t) {
-    axpy(1.0, grad_pre_all.row(t), b_.grad.row(0));
-  }
-  for (std::size_t t = 1; t < steps; ++t) {
-    // Rank-1 update dWh += h_{t-1}^T * dpre_t, branchless.
-    kt.matmul_ta_acc(cache.hidden.row(t - 1).data(), grad_pre_all.row(t).data(),
-                     w_h_.grad.data(), 1, h, 4 * h);
-  }
-  return grad_pre_all;
-}
-
-std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidden,
-                                               std::span<const Cache> caches) const {
+std::vector<Matrix> Lstm::bptt(std::span<const Matrix> grad_hidden,
+                               std::span<const Cache> caches) const {
   GO_EXPECTS(!caches.empty());
   GO_EXPECTS(grad_hidden.size() == caches.size());
   const std::size_t batch = caches.size();
@@ -304,10 +245,13 @@ std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidd
     GO_EXPECTS(grad_hidden[i].rows() == steps && grad_hidden[i].cols() == h);
   }
 
-  std::vector<Matrix> grad_pre_all(batch, Matrix(steps, 4 * h));
-  Matrix dpre_t(batch, 4 * h);   // this timestep's pre-activation grads, packed
-  Matrix dh_next(batch, h);      // zero-initialized, like the scalar path
+  std::vector<Matrix> grad_pre(batch, Matrix(steps, 4 * h));
+  Matrix dpre_t(batch, 4 * h);  // this timestep's pre-activation grads, packed
+  Matrix dh_next(batch, h);     // zero: nothing flows in after the last step
   Matrix dc_next(batch, h);
+  // Wh^T (4H x H), so dh_next = dpre_t * Wh^T runs as a plain GEMM; a
+  // one-step sequence never reads dh_next and skips the transpose.
+  const Matrix w_h_t = steps > 1 ? w_h_.value.transposed() : Matrix();
 
   for (std::size_t t = steps; t-- > 0;) {
     for (std::size_t i = 0; i < batch; ++i) {
@@ -322,7 +266,6 @@ std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidd
       auto dhn = dh_next.row(i);
       auto dcn = dc_next.row(i);
 
-      // Same per-element recurrence as backward().
       for (std::size_t j = 0; j < h; ++j) {
         const double dh = gh[j] + dhn[j];
         const double dct = dh * go[j] * tanh_grad_from_output(ctt[j]) + dcn[j];
@@ -335,19 +278,46 @@ std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidd
 
         dcn[j] = dct * gf[j];
       }
-      std::copy(dpre.begin(), dpre.end(), grad_pre_all[i].row(t).begin());
+      std::copy(dpre.begin(), dpre.end(), grad_pre[i].row(t).begin());
     }
-    // dh_next = dpre * Wh^T for the whole batch in one GEMM; each output
-    // element is the same j-ascending dot product the scalar loop runs.
-    // Step 0 has no previous state, so nothing reads its dh_next.
+    // dh_next = dpre * Wh^T (contribution to the previous hidden state) for
+    // the whole batch in one GEMM. Step 0 has no previous state, so nothing
+    // reads its dh_next.
     if (t == 0) break;
-    dh_next = matmul_trans_b(dpre_t, w_h_.value);
+    dh_next.set_zero();
+    matmul_accumulate(dpre_t, w_h_t, dh_next);
   }
+  return grad_pre;
+}
 
+std::vector<Matrix> Lstm::backward_params(std::span<const Matrix> grad_hidden,
+                                          std::span<const Cache> caches) {
+  std::vector<Matrix> grad_pre = bptt(grad_hidden, caches);
+  const std::size_t steps = grad_pre.front().rows();
+  const std::size_t h = hidden_dim_;
+  const simd::KernelTable& kt = simd::active();
+  // Parameter gradients in window order, each batched over time:
+  //   dWx += x^T * dpre ; db += rows of dpre ;
+  //   dWh += h_{t-1}^T * dpre_t over t >= 1 (hidden shifted by one step) —
+  //   one r = T-1 call, bitwise the T-1 rank-1 updates it replaces.
+  for (std::size_t i = 0; i < caches.size(); ++i) {
+    const Matrix& dpre = grad_pre[i];
+    matmul_trans_a_accumulate(caches[i].input, dpre, w_x_.grad);
+    for (std::size_t t = 0; t < steps; ++t) axpy(1.0, dpre.row(t), b_.grad.row(0));
+    if (steps > 1) {
+      kt.matmul_ta_acc(caches[i].hidden.data(), dpre.row(1).data(), w_h_.grad.data(),
+                       steps - 1, h, 4 * h);
+    }
+  }
+  return grad_pre;
+}
+
+std::vector<Matrix> Lstm::backward_input_batch(std::span<const Matrix> grad_hidden,
+                                               std::span<const Cache> caches) const {
   std::vector<Matrix> grad_input;
-  grad_input.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    grad_input.push_back(matmul_trans_b(grad_pre_all[i], w_x_.value));
+  grad_input.reserve(caches.size());
+  for (const Matrix& dpre : bptt(grad_hidden, caches)) {
+    grad_input.push_back(matmul_trans_b(dpre, w_x_.value));
   }
   return grad_input;
 }

@@ -119,23 +119,25 @@ class Lstm {
 
   /// Backpropagation through time. `grad_hidden` holds dLoss/dh_t for every
   /// timestep (T x hidden_dim; rows may be zero when only some steps feed
-  /// the loss). Accumulates parameter gradients and returns dLoss/dx.
+  /// the loss). Accumulates parameter gradients and returns dLoss/dx:
+  /// backward_params over a span of one, plus dX = dpre * Wx^T.
   Matrix backward(const Matrix& grad_hidden, const Cache& cache);
 
-  /// backward() without its dX GEMM: accumulates the same parameter
-  /// gradients, bit for bit, and returns dLoss/d(pre-activations) (T x 4H)
-  /// instead of dLoss/dx. backward() is this plus dX = dpre * Wx^T; training
-  /// never reads dX, so it calls this.
-  Matrix backward_params(const Matrix& grad_hidden, const Cache& cache);
+  /// Batched BPTT over B cached same-length sequences that accumulates the
+  /// parameter gradients and computes no input gradient (training never
+  /// reads dX). The recurrence runs all B sequences per step (one
+  /// (B x 4H) * Wh^T GEMM for dh_next); the gradients are then added in
+  /// window order — sequence 0..B-1, and within one, step t ascending — so
+  /// they are bitwise what B sequential single-sequence passes accumulate.
+  /// Returns dLoss/d(pre-activations) per sequence (T x 4H each).
+  std::vector<Matrix> backward_params(std::span<const Matrix> grad_hidden,
+                                      std::span<const Cache> caches);
 
   /// Batched input-gradient-only BPTT over B cached same-length sequences:
   /// returns dLoss/dx per sequence WITHOUT touching parameter gradients
-  /// (hence const). MAD-GAN's latent inversion only ever consumes dX — the
-  /// parameter-gradient GEMMs backward() also runs are pure waste there,
-  /// and skipping them plus batching the per-timestep recurrent transport
-  /// (one (B x 4H) x Wh^T GEMM per step) is where the batched inversion's
-  /// speedup comes from. Each returned dX is bit-identical to what
-  /// backward() returns for that sequence.
+  /// (hence const). MAD-GAN's latent inversion and the forecaster's
+  /// input_gradient only ever consume dX. Each returned dX is bit-identical
+  /// to what backward() returns for that sequence.
   std::vector<Matrix> backward_input_batch(std::span<const Matrix> grad_hidden,
                                            std::span<const Cache> caches) const;
 
@@ -160,6 +162,16 @@ class Lstm {
   template <typename GateRow>
   void recur(const Matrix& packed, std::size_t batch, double* hs, double* cs, bool started,
              GateRow&& gate_row) const;
+
+  /// The one batched BPTT recurrence behind backward_params and
+  /// backward_input_batch, the backward twin of recur: per step (T-1 down
+  /// to 0) the elementwise gate gradients of all B sequences, then one
+  /// (B x 4H) * Wh^T GEMM for dh_next against a Wh^T transposed once per
+  /// call. Each dh_next element is the same ascending dot product from +0.0
+  /// that a single-sequence pass computes. Returns dLoss/d(pre-activations)
+  /// per sequence (T x 4H each).
+  std::vector<Matrix> bptt(std::span<const Matrix> grad_hidden,
+                           std::span<const Cache> caches) const;
 
   std::size_t input_dim_;
   std::size_t hidden_dim_;

@@ -51,43 +51,43 @@ nn::ParamRefs BiLstmForecaster::parameters() {
 
 namespace {
 
-/// Splits the head's gradient w.r.t. its input row [fwd h_{T-1}, bwd step]
-/// into the two cells' hidden-state gradients: (T x H) for the forward cell,
-/// nonzero only at row T-1, and (1 x H) for the backward cell's one step.
-std::pair<nn::Matrix, nn::Matrix> split_state_grad(const nn::Matrix& grad_state,
-                                                   std::size_t steps, std::size_t h) {
-  nn::Matrix fwd(steps, h);
-  nn::Matrix bwd(1, h);
-  const auto g = grad_state.row(0);
+/// Splits one row of the head's input gradient [fwd h_{T-1}, bwd step] into
+/// the two cells' hidden-state gradients: `fwd` (T x H) carries it at row
+/// T-1 only, `bwd` (1 x H) is the backward cell's one step. Buffers of the
+/// right shape are reused; nothing but row T-1 is ever written, so the
+/// other rows stay zero.
+void split_state_grad(std::span<const double> g, std::size_t steps, std::size_t h,
+                      nn::Matrix& fwd, nn::Matrix& bwd) {
+  if (fwd.rows() != steps || fwd.cols() != h) fwd = nn::Matrix(steps, h);
+  if (bwd.rows() != 1 || bwd.cols() != h) bwd = nn::Matrix(1, h);
   std::copy(g.begin(), g.begin() + static_cast<std::ptrdiff_t>(h), fwd.row(steps - 1).begin());
   std::copy(g.begin() + static_cast<std::ptrdiff_t>(h), g.end(), bwd.row(0).begin());
-  return {std::move(fwd), std::move(bwd)};
 }
 
 }  // namespace
 
-double BiLstmForecaster::forward_pass(const nn::Lstm::Cache& fwd, HeadPass& pass) const {
+nn::Matrix BiLstmForecaster::forward_pass(std::span<const nn::Lstm::Cache> fwd,
+                                          HeadPass& pass) const {
+  const std::size_t batch = fwd.size();
   const std::size_t h = config_.hidden;
-  const std::size_t last = fwd.input.rows() - 1;
-  nn::Matrix last_row(1, fwd.input.cols());
-  std::copy(fwd.input.row(last).begin(), fwd.input.row(last).end(), last_row.row(0).begin());
-  lstm_.backward_cell().forward_cached(last_row, pass.bwd);
+  const std::size_t last = fwd.front().input.rows() - 1;
+  pass.last_rows.resize(batch);
+  for (std::size_t k = 0; k < batch; ++k) {
+    const auto src = fwd[k].input.row(last);
+    if (pass.last_rows[k].cols() != src.size()) pass.last_rows[k] = nn::Matrix(1, src.size());
+    std::copy(src.begin(), src.end(), pass.last_rows[k].row(0).begin());
+  }
+  lstm_.backward_cell().forward_batch_cached(pass.last_rows, pass.bwd);
 
-  nn::Matrix state(1, 2 * h);
-  std::copy(fwd.hidden.row(last).begin(), fwd.hidden.row(last).end(), state.row(0).begin());
-  std::copy(pass.bwd.hidden.row(0).begin(), pass.bwd.hidden.row(0).end(),
-            state.row(0).begin() + static_cast<std::ptrdiff_t>(h));
+  nn::Matrix state(batch, 2 * h);
+  for (std::size_t k = 0; k < batch; ++k) {
+    auto dst = state.row(k).begin();
+    std::copy(fwd[k].hidden.row(last).begin(), fwd[k].hidden.row(last).end(), dst);
+    std::copy(pass.bwd[k].hidden.row(0).begin(), pass.bwd[k].hidden.row(0).end(),
+              dst + static_cast<std::ptrdiff_t>(h));
+  }
   const nn::Matrix h1 = head1_.forward_cached(state, pass.head1);
-  return head2_.forward_cached(h1, pass.head2)(0, 0);
-}
-
-void BiLstmForecaster::backward_pass(double grad, const nn::Lstm::Cache& fwd,
-                                     const HeadPass& pass) {
-  const nn::Matrix g1 = head2_.backward(nn::Matrix(1, 1, grad), pass.head2);
-  const nn::Matrix g_state = head1_.backward(g1, pass.head1);
-  const auto [g_fwd, g_bwd] = split_state_grad(g_state, fwd.input.rows(), config_.hidden);
-  lstm_.forward_cell().backward_params(g_fwd, fwd);
-  lstm_.backward_cell().backward_params(g_bwd, pass.bwd);
+  return head2_.forward_cached(h1, pass.head2);
 }
 
 double BiLstmForecaster::predict(const nn::Matrix& raw_features) const {
@@ -95,7 +95,8 @@ double BiLstmForecaster::predict(const nn::Matrix& raw_features) const {
   nn::Lstm::Cache fwd;
   HeadPass pass;
   lstm_.forward_cell().forward_cached(scaler_.transform(raw_features), fwd);
-  return scaler_.inverse_transform_value(forward_pass(fwd, pass), config_.target_channel);
+  return scaler_.inverse_transform_value(forward_pass(std::span(&fwd, 1), pass)(0, 0),
+                                         config_.target_channel);
 }
 
 std::vector<double> BiLstmForecaster::predict_batch(
@@ -293,19 +294,21 @@ nn::Matrix BiLstmForecaster::input_gradient(const nn::Matrix& raw_features) cons
   nn::Lstm::Cache fwd;
   HeadPass pass;
   lstm_.forward_cell().forward_cached(scaler_.transform(raw_features), fwd);
-  forward_pass(fwd, pass);
+  forward_pass(std::span(&fwd, 1), pass);
 
   // dx-only backward passes: parameter gradients are never touched, so this
   // stays const and thread-safe. d(normalized prediction)/d(itself) = 1.
   const nn::Matrix g1 = head2_.backward_input(nn::Matrix(1, 1, 1.0), pass.head2);
   const nn::Matrix g_state = head1_.backward_input(g1, pass.head1);
   const std::size_t steps = fwd.input.rows();
-  const auto [g_fwd, g_bwd] = split_state_grad(g_state, steps, config_.hidden);
+  nn::Matrix g_fwd;
+  nn::Matrix g_bwd;
+  split_state_grad(g_state.row(0), steps, config_.hidden, g_fwd, g_bwd);
   nn::Matrix dx_scaled = std::move(lstm_.forward_cell().backward_input_batch(
       std::span(&g_fwd, 1), std::span(&fwd, 1)).front());
   // The backward cell's one step read only the last row.
   const nn::Matrix dx_last = std::move(lstm_.backward_cell().backward_input_batch(
-      std::span(&g_bwd, 1), std::span(&pass.bwd, 1)).front());
+      std::span(&g_bwd, 1), std::span(pass.bwd)).front());
   nn::axpy(1.0, dx_last.row(0), dx_scaled.row(steps - 1));
 
   // Chain through the scalers: prediction is inverse-scaled by the target
@@ -348,10 +351,13 @@ double BiLstmForecaster::train(const std::vector<data::Window>& windows) {
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   // Reused across minibatches: forward_batch_cached keeps each cache's
-  // buffers while the shape holds.
+  // buffers while the shape holds, and so does split_state_grad.
   std::vector<nn::Matrix> batch;
   std::vector<nn::Lstm::Cache> fwd_caches;
   HeadPass pass;
+  std::vector<nn::Matrix> grad_fwd;
+  std::vector<nn::Matrix> grad_bwd;
+  const std::size_t h = config_.hidden;
   double final_epoch_loss = 0.0;
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     shuffle_rng.shuffle(order);
@@ -361,15 +367,28 @@ double BiLstmForecaster::train(const std::vector<data::Window>& windows) {
       const std::size_t count = std::min(config_.batch_size, order.size() - begin);
       batch.resize(count);
       for (std::size_t k = 0; k < count; ++k) batch[k] = scaled[order[begin + k]];
-      // The forward cell's caches are bit-identical to forward_cached per
-      // window; BPTT stays per window, in order, so every parameter
-      // gradient accumulates exactly as a per-window loop would.
+      // The whole minibatch runs forward, then backward, as batched passes
+      // (the weights do not move inside a minibatch). Every layer adds its
+      // parameter gradients window by window in minibatch order, so they
+      // accumulate bitwise as a per-window forward/backward loop would.
       lstm_.forward_cell().forward_batch_cached(batch, fwd_caches);
+      const nn::Matrix preds = forward_pass(fwd_caches, pass);
+
+      nn::Matrix grad_pred(count, 1);
       for (std::size_t k = 0; k < count; ++k) {
-        const double diff = forward_pass(fwd_caches[k], pass) - targets[order[begin + k]];
+        const double diff = preds(k, 0) - targets[order[begin + k]];
         epoch_loss += diff * diff;
-        backward_pass(2.0 * diff, fwd_caches[k], pass);  // d(squared error)/d(pred)
+        grad_pred(k, 0) = 2.0 * diff;  // d(squared error)/d(pred)
       }
+      const nn::Matrix g_state =
+          head1_.backward(head2_.backward(grad_pred, pass.head2), pass.head1);
+      grad_fwd.resize(count);
+      grad_bwd.resize(count);
+      for (std::size_t k = 0; k < count; ++k) {
+        split_state_grad(g_state.row(k), steps, h, grad_fwd[k], grad_bwd[k]);
+      }
+      lstm_.forward_cell().backward_params(grad_fwd, fwd_caches);
+      lstm_.backward_cell().backward_params(grad_bwd, pass.bwd);
 
       // Average the accumulated gradients over the batch, clip, step.
       const double inv = 1.0 / static_cast<double>(count);

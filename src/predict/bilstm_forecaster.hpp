@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <iosfwd>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "data/scaler.hpp"
@@ -43,8 +44,8 @@ class BiLstmForecaster final : public Forecaster {
 
   /// Trains on forecasting windows (raw units). Returns the final-epoch
   /// mean training MSE in *normalized* units. Every window must have the
-  /// same number of rows (at least one): each minibatch's forward-cell pass
-  /// runs as one batched recurrence over equal-length sequences.
+  /// same number of rows (at least one): each minibatch runs forward and
+  /// backward as one batched pass over equal-length sequences.
   double train(const std::vector<data::Window>& windows);
 
   double predict(const nn::Matrix& raw_features) const override;
@@ -93,22 +94,20 @@ class BiLstmForecaster final : public Forecaster {
   /// reversed step, which consumes only the window's last row. So the
   /// backward cell runs (and backpropagates) that one step: its other T-1
   /// steps get exactly zero upstream gradient and would only add +-0 to the
-  /// parameter gradients. These are the caches of one such pass, beside the
-  /// forward cell's cache over all T rows.
+  /// parameter gradients. These are the caches of one such pass over a
+  /// batch of windows, beside the forward cell's caches over all T rows.
   struct HeadPass {
-    nn::Lstm::Cache bwd;  ///< backward cell, one step over the last row
-    nn::Dense::Cache head1;
+    std::vector<nn::Matrix> last_rows;  ///< each window's last scaled row (1 x D)
+    std::vector<nn::Lstm::Cache> bwd;   ///< backward cell, one step per window
+    nn::Dense::Cache head1;             ///< one row per window
     nn::Dense::Cache head2;
   };
 
-  /// Normalized prediction from the forward cell's cache over a scaled
-  /// window (`fwd.input` is that window); fills `pass`. Bit-identical to the
-  /// full BiLstm forward followed by the head.
-  double forward_pass(const nn::Lstm::Cache& fwd, HeadPass& pass) const;
-  /// Backpropagates d(loss)/d(normalized prediction) = `grad` through
-  /// forward_pass: accumulates every parameter gradient and computes no
-  /// input gradient.
-  void backward_pass(double grad, const nn::Lstm::Cache& fwd, const HeadPass& pass);
+  /// Normalized predictions (B x 1) of the scaled windows whose forward-cell
+  /// caches are `fwd` (`fwd[k].input` is window k); fills `pass`. Each row
+  /// is bit-identical to the full BiLstm forward followed by the head over
+  /// that window alone.
+  nn::Matrix forward_pass(std::span<const nn::Lstm::Cache> fwd, HeadPass& pass) const;
 
   /// Forward-cell recurrent state after `prefix_rows` rows of `scaled`,
   /// served from (and recorded into) the prefix trail cache. Bit-identical

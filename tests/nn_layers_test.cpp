@@ -3,6 +3,7 @@
 // the gradient-guided attack all rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include "nn/dense.hpp"
 #include "nn/lstm.hpp"
 #include "nn/loss.hpp"
+#include "nn/simd.hpp"
 
 namespace goodones::nn {
 namespace {
@@ -225,7 +227,8 @@ TEST(Lstm, BackwardParamsIsBackwardWithoutTheInputGemm) {
       Lstm::Cache cache;
       full.forward_cached(x, cache);
       const Matrix dx = full.backward(grad_hidden, cache);
-      const Matrix grad_pre = split.backward_params(grad_hidden, cache);
+      const Matrix grad_pre =
+          split.backward_params(std::span(&grad_hidden, 1), std::span(&cache, 1)).front();
       EXPECT_EQ(bits(matmul_trans_b(grad_pre, split.weight_input().value)), bits(dx));
       EXPECT_EQ(bits(split.backward_input_batch(std::span(&grad_hidden, 1),
                                                 std::span(&cache, 1))
@@ -237,6 +240,131 @@ TEST(Lstm, BackwardParamsIsBackwardWithoutTheInputGemm) {
         EXPECT_EQ(bits(a[p]->grad), bits(b[p]->grad))
             << "param " << p << " steps " << steps << " last_row_only " << last_row_only;
       }
+    }
+  }
+}
+
+/// Test-local copy of the single-window BPTT that the span backward_params
+/// replaced: per step the dh_next GEMV (matmul_tb_acc against Wh), then
+/// dWx, db and T-1 rank-1 dWh updates for this one window. Accumulates into
+/// `lstm`'s gradients and returns dLoss/d(pre-activations) (T x 4H).
+Matrix reference_backward_params(Lstm& lstm, const Matrix& grad_hidden,
+                                 const Lstm::Cache& cache) {
+  const std::size_t steps = cache.input.rows();
+  const std::size_t h = lstm.hidden_dim();
+  Matrix grad_pre_all(steps, 4 * h);
+  std::vector<double> dh_next(h, 0.0);
+  std::vector<double> dc_next(h, 0.0);
+  const simd::KernelTable& kt = simd::active();
+
+  for (std::size_t t = steps; t-- > 0;) {
+    const auto gi = cache.gate_i.row(t);
+    const auto gf = cache.gate_f.row(t);
+    const auto gg = cache.gate_g.row(t);
+    const auto go = cache.gate_o.row(t);
+    const auto ctt = cache.cell_tanh.row(t);
+    const auto gh = grad_hidden.row(t);
+    auto dpre = grad_pre_all.row(t);
+    for (std::size_t j = 0; j < h; ++j) {
+      const double dh = gh[j] + dh_next[j];
+      const double dct = dh * go[j] * tanh_grad_from_output(ctt[j]) + dc_next[j];
+      const double c_prev = t > 0 ? cache.cell(t - 1, j) : 0.0;
+      dpre[j] = dct * gg[j] * sigmoid_grad_from_output(gi[j]);
+      dpre[h + j] = dct * c_prev * sigmoid_grad_from_output(gf[j]);
+      dpre[2 * h + j] = dct * gi[j] * tanh_grad_from_output(gg[j]);
+      dpre[3 * h + j] = dh * ctt[j] * sigmoid_grad_from_output(go[j]);
+      dc_next[j] = dct * gf[j];
+    }
+    if (t == 0) break;
+    std::fill(dh_next.begin(), dh_next.end(), 0.0);
+    kt.matmul_tb_acc(dpre.data(), lstm.weight_hidden().value.data(), dh_next.data(), 1, 4 * h,
+                     h);
+  }
+
+  matmul_trans_a_accumulate(cache.input, grad_pre_all, lstm.weight_input().grad);
+  for (std::size_t t = 0; t < steps; ++t) {
+    axpy(1.0, grad_pre_all.row(t), lstm.bias().grad.row(0));
+  }
+  for (std::size_t t = 1; t < steps; ++t) {
+    kt.matmul_ta_acc(cache.hidden.row(t - 1).data(), grad_pre_all.row(t).data(),
+                     lstm.weight_hidden().grad.data(), 1, h, 4 * h);
+  }
+  return grad_pre_all;
+}
+
+TEST(Lstm, SpanBackwardParamsMatchesThePerWindowLoopBitwise) {
+  // The batched BPTT (one recurrence over the span, then the parameter
+  // gradients in window order) against B sequential single-window passes
+  // of the reference loop: every parameter gradient and every returned
+  // dpre must agree bit for bit. The gradient buffers start from the same
+  // random values, so any change in the order the windows' contributions
+  // are added shows up. backward_input_batch's dX and backward() (params
+  // and dX) are checked against the same reference.
+  common::Rng shape_rng(0x5BA7C4);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto batch =
+        static_cast<std::size_t>(std::exp(shape_rng.uniform(0.0, std::log(64.0))) + 0.5);
+    const auto steps = static_cast<std::size_t>(shape_rng.uniform_int(1, 12));
+    const std::size_t hidden_choices[] = {1, 3, 8, 24};
+    const std::size_t h = hidden_choices[shape_rng.uniform_int(0, 3)];
+    const auto d = static_cast<std::size_t>(shape_rng.uniform_int(1, 5));
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " B=" << batch << " T=" << steps
+                                      << " H=" << h << " D=" << d);
+
+    common::Rng data_rng(1000 + static_cast<std::uint64_t>(trial));
+    std::vector<Matrix> xs;
+    std::vector<Matrix> grads;
+    const bool last_row_only = trial % 3 == 0;  // the forecaster's training pattern
+    for (std::size_t k = 0; k < batch; ++k) {
+      xs.push_back(random_matrix(steps, d, data_rng));
+      Matrix g = random_matrix(steps, h, data_rng);
+      for (std::size_t t = 0; t < steps; ++t) {
+        const bool zero_row = last_row_only ? t + 1 < steps : data_rng.uniform() < 0.3;
+        if (zero_row) std::fill(g.row(t).begin(), g.row(t).end(), 0.0);
+      }
+      grads.push_back(std::move(g));
+    }
+
+    // Three identical cells with identical non-zero starting gradients.
+    const auto make_cell = [&] {
+      common::Rng init(77 + static_cast<std::uint64_t>(trial));
+      Lstm cell(d, h, init);
+      common::Rng grad_rng(88 + static_cast<std::uint64_t>(trial));
+      for (ParamBuffer* p : cell.parameters()) {
+        for (std::size_t i = 0; i < p->grad.size(); ++i) p->grad.data()[i] = grad_rng.uniform();
+      }
+      return cell;
+    };
+    Lstm reference = make_cell();
+    Lstm batched = make_cell();
+    Lstm single = make_cell();
+
+    std::vector<Lstm::Cache> caches;
+    reference.forward_batch_cached(xs, caches);
+
+    std::vector<Matrix> ref_dpre;
+    std::vector<Matrix> ref_dx;
+    for (std::size_t k = 0; k < batch; ++k) {
+      ref_dpre.push_back(reference_backward_params(reference, grads[k], caches[k]));
+      ref_dx.push_back(matmul_trans_b(ref_dpre.back(), reference.weight_input().value));
+    }
+
+    const std::vector<Matrix> dpre = batched.backward_params(grads, caches);
+    const std::vector<Matrix> dx = batched.backward_input_batch(grads, caches);
+    ASSERT_EQ(dpre.size(), batch);
+    ASSERT_EQ(dx.size(), batch);
+    for (std::size_t k = 0; k < batch; ++k) {
+      EXPECT_EQ(bits(dpre[k]), bits(ref_dpre[k])) << "dpre of window " << k;
+      EXPECT_EQ(bits(dx[k]), bits(ref_dx[k])) << "backward_input_batch dX of window " << k;
+      EXPECT_EQ(bits(single.backward(grads[k], caches[k])), bits(ref_dx[k]))
+          << "backward() dX of window " << k;
+    }
+    const ParamRefs want = reference.parameters();
+    const ParamRefs got_batched = batched.parameters();
+    const ParamRefs got_single = single.parameters();
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      EXPECT_EQ(bits(got_batched[p]->grad), bits(want[p]->grad)) << "backward_params param " << p;
+      EXPECT_EQ(bits(got_single[p]->grad), bits(want[p]->grad)) << "backward() param " << p;
     }
   }
 }

@@ -168,10 +168,12 @@ TEST_F(SimdKernelParity, MatmulBiasBitwise) {
 
 TEST_F(SimdKernelParity, MatmulTaAccBitwise) {
   common::Rng rng(0x7A7A7A);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto r = static_cast<std::size_t>(rng.uniform_int(1, 9));
+  for (int trial = 0; trial < 60; ++trial) {
+    // r log-distributed from 1 to ~400 (a whole minibatch's rows); n covers
+    // the 16-wide register blocks, the 4-wide blocks and the scalar tails.
+    const auto r = static_cast<std::size_t>(std::exp(rng.uniform(0.0, std::log(400.0))));
     const auto m = static_cast<std::size_t>(rng.uniform_int(1, 13));
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 29));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 53));
     const auto a = random_values(r * m, rng);
     const auto b = random_values(r * n, rng);
     auto out_s = random_values(m * n, rng);
@@ -179,6 +181,29 @@ TEST_F(SimdKernelParity, MatmulTaAccBitwise) {
     scalar_->matmul_ta_acc(a.data(), b.data(), out_s.data(), r, m, n);
     vec_->matmul_ta_acc(a.data(), b.data(), out_v.data(), r, m, n);
     expect_bitwise(out_s, out_v, "matmul_ta_acc", trial);
+  }
+}
+
+TEST_F(SimdKernelParity, MatmulTaAccOneCallEqualsRankOneCalls) {
+  // The LSTM's dWh update is one r = T-1 call where it used to be T-1
+  // rank-1 calls: on every lane the two must agree bitwise.
+  common::Rng rng(0x7A7A7B);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto r = static_cast<std::size_t>(rng.uniform_int(1, 24));
+    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 25));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 100));
+    const auto a = random_values(r * m, rng);
+    const auto b = random_values(r * n, rng);
+    const auto out0 = random_values(m * n, rng);
+    for (const KernelTable* kt : {scalar_, vec_}) {
+      auto one = out0;
+      auto rank1 = out0;
+      kt->matmul_ta_acc(a.data(), b.data(), one.data(), r, m, n);
+      for (std::size_t kk = 0; kk < r; ++kk) {
+        kt->matmul_ta_acc(a.data() + kk * m, b.data() + kk * n, rank1.data(), 1, m, n);
+      }
+      expect_bitwise(rank1, one, isa_name(kt->isa), trial);
+    }
   }
 }
 
@@ -195,6 +220,32 @@ TEST_F(SimdKernelParity, MatmulTbAccBitwise) {
     scalar_->matmul_tb_acc(a.data(), b.data(), out_s.data(), m, k, n);
     vec_->matmul_tb_acc(a.data(), b.data(), out_v.data(), m, k, n);
     expect_bitwise(out_s, out_v, "matmul_tb_acc", trial);
+  }
+}
+
+TEST_F(SimdKernelParity, MatmulAccOnTransposeEqualsTbAccFromZero) {
+  // BPTT's dh_next = dpre * Wh^T runs as matmul_acc against a transposed
+  // Wh into a zeroed output; it used to be matmul_tb_acc against Wh. Both
+  // are one ascending-k sum from +0.0 per element, so on every lane they
+  // must agree bitwise.
+  common::Rng rng(0x7C7C7C);
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    const auto k = static_cast<std::size_t>(rng.uniform_int(1, 100));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 30));
+    const auto a = random_values(m * k, rng);
+    const auto b = random_values(n * k, rng);  // n x k
+    std::vector<double> b_t(k * n);
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t kk = 0; kk < k; ++kk) b_t[kk * n + j] = b[j * k + kk];
+    }
+    for (const KernelTable* kt : {scalar_, vec_}) {
+      std::vector<double> gathered(m * n, 0.0);
+      std::vector<double> plain(m * n, 0.0);
+      kt->matmul_tb_acc(a.data(), b.data(), gathered.data(), m, k, n);
+      kt->matmul_acc(a.data(), b_t.data(), plain.data(), m, k, n);
+      expect_bitwise(gathered, plain, isa_name(kt->isa), trial);
+    }
   }
 }
 
