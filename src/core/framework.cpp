@@ -20,6 +20,33 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// Runs `campaign` over `series`, cutting only the windows it attacks:
+/// make_windows at the campaign's stride yields exactly every
+/// window_step-th stride-1 window, so the same campaign with window_step 1
+/// over those windows attacks the same windows in the same order (bitwise-
+/// identical outcomes). The windows live only for this call.
+std::vector<attack::WindowOutcome> run_campaign_on(const predict::Forecaster& model,
+                                                   const data::TelemetrySeries& series,
+                                                   data::WindowConfig window,
+                                                   attack::CampaignConfig campaign,
+                                                   common::ThreadPool& pool) {
+  window.step = campaign.window_step;
+  campaign.window_step = 1;
+  return attack::run_campaign(model, data::make_windows(series, window), campaign, pool);
+}
+
+/// Every `stride`-th window of `series`, scaled.
+std::vector<nn::Matrix> scaled_windows(const data::TelemetrySeries& series,
+                                       data::WindowConfig window, std::size_t stride,
+                                       const data::MinMaxScaler& scaler) {
+  window.step = stride;
+  const std::vector<data::Window> windows = data::make_windows(series, window);
+  std::vector<nn::Matrix> out;
+  out.reserve(windows.size());
+  for (const data::Window& w : windows) out.push_back(scaler.transform(w.features));
+  return out;
+}
+
 }  // namespace
 
 const StrategyEvaluation& ExperimentResults::entry(detect::DetectorKind detector,
@@ -100,23 +127,9 @@ const data::MinMaxScaler& RiskProfilingFramework::detector_scaler() {
   return *scaler_;
 }
 
-void RiskProfilingFramework::ensure_windows() {
-  if (!train_windows_.empty()) return;
-  ensure_entities();
-  train_windows_.resize(entities_.size());
-  test_windows_.resize(entities_.size());
-  data::WindowConfig window = config_.window;
-  window.step = 1;  // full resolution; consumers stride as needed
-  common::parallel_for(*pool_, entities_.size(), [&](std::size_t i) {
-    train_windows_[i] = data::make_windows(entities_[i].train, window);
-    test_windows_[i] = data::make_windows(entities_[i].test, window);
-  });
-}
-
 void RiskProfilingFramework::ensure_profiling() {
   if (profiling_.has_value()) return;
   ensure_models();
-  ensure_windows();
   const DomainSpec& spec = domain_->spec();
 
   ProfilingOutputs out;
@@ -129,8 +142,8 @@ void RiskProfilingFramework::ensure_profiling() {
   common::log_info("step 1: simulating profiling attack campaigns");
   std::vector<std::vector<attack::WindowOutcome>> train_outcomes(entities_.size());
   for (std::size_t i = 0; i < entities_.size(); ++i) {
-    train_outcomes[i] = attack::run_campaign(models_->personalized(i), train_windows_[i],
-                                             config_.profiling_campaign, *pool_);
+    train_outcomes[i] = run_campaign_on(models_->personalized(i), entities_[i].train,
+                                        config_.window, config_.profiling_campaign, *pool_);
     out.train_attack_rates[i] = attack::summarize(train_outcomes[i]);
   }
 
@@ -214,12 +227,11 @@ const ProfilingOutputs& RiskProfilingFramework::profiling() {
 void RiskProfilingFramework::ensure_test_outcomes() {
   if (test_outcomes_ready_) return;
   ensure_models();
-  ensure_windows();
   common::log_info("attacking held-out test data (evaluation campaign)");
   test_outcomes_.resize(entities_.size());
   for (std::size_t i = 0; i < entities_.size(); ++i) {
-    test_outcomes_[i] = attack::run_campaign(models_->personalized(i), test_windows_[i],
-                                             config_.evaluation_campaign, *pool_);
+    test_outcomes_[i] = run_campaign_on(models_->personalized(i), entities_[i].test,
+                                        config_.window, config_.evaluation_campaign, *pool_);
   }
   test_outcomes_ready_ = true;
 }
@@ -239,27 +251,19 @@ const std::vector<attack::WindowOutcome>& RiskProfilingFramework::profiling_outc
 }
 
 std::vector<nn::Matrix> RiskProfilingFramework::benign_train_windows(std::size_t entity) {
-  ensure_windows();
+  ensure_entities();
   ensure_scaler();
-  GO_EXPECTS(entity < train_windows_.size());
-  std::vector<nn::Matrix> out;
-  const auto& windows = train_windows_[entity];
-  for (std::size_t i = 0; i < windows.size(); i += config_.detector_benign_stride) {
-    out.push_back(scaler_->transform(windows[i].features));
-  }
-  return out;
+  GO_EXPECTS(entity < entities_.size());
+  return scaled_windows(entities_[entity].train, config_.window,
+                        config_.detector_benign_stride, *scaler_);
 }
 
 std::vector<nn::Matrix> RiskProfilingFramework::benign_test_windows(std::size_t entity) {
-  ensure_windows();
+  ensure_entities();
   ensure_scaler();
-  GO_EXPECTS(entity < test_windows_.size());
-  std::vector<nn::Matrix> out;
-  const auto& windows = test_windows_[entity];
-  for (std::size_t i = 0; i < windows.size(); i += config_.detector_benign_stride) {
-    out.push_back(scaler_->transform(windows[i].features));
-  }
-  return out;
+  GO_EXPECTS(entity < entities_.size());
+  return scaled_windows(entities_[entity].test, config_.window,
+                        config_.detector_benign_stride, *scaler_);
 }
 
 std::vector<nn::Matrix> RiskProfilingFramework::malicious_windows(

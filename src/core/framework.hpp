@@ -111,6 +111,8 @@ class RiskProfilingFramework {
   const ProfilingOutputs& profiling();
 
   /// Evaluation campaign (attack on the held-out test split) per entity.
+  /// Each campaign cuts its entity's windows at its own window_step for the
+  /// duration of the run; only the outcomes are kept.
   const std::vector<attack::WindowOutcome>& test_outcomes(std::size_t entity);
 
   /// Step-1 profiling campaign (attack on the training split) per entity.
@@ -151,7 +153,8 @@ class RiskProfilingFramework {
   const data::MinMaxScaler& detector_scaler();
 
   /// Benign train/test windows of one entity, scaled, at the configured
-  /// detector stride (window-granularity detectors, i.e. MAD-GAN).
+  /// detector stride (window-granularity detectors, i.e. MAD-GAN). Cut from
+  /// the entity's series at that stride on every call; nothing is cached.
   std::vector<nn::Matrix> benign_train_windows(std::size_t entity);
   std::vector<nn::Matrix> benign_test_windows(std::size_t entity);
 
@@ -179,7 +182,6 @@ class RiskProfilingFramework {
   void ensure_entities();
   void ensure_models();
   void ensure_scaler();
-  void ensure_windows();
   void ensure_profiling();
   void ensure_test_outcomes();
 
@@ -190,8 +192,9 @@ class RiskProfilingFramework {
   std::vector<EntityData> entities_;
   std::optional<predict::ModelRegistry> models_;
   std::optional<data::MinMaxScaler> scaler_;
-  std::vector<std::vector<data::Window>> train_windows_;  // full stride-1 windows
-  std::vector<std::vector<data::Window>> test_windows_;
+  // No window store: each consumer cuts an entity's windows from its series
+  // at its own stride (a campaign at its window_step, the MAD-GAN helpers at
+  // detector_benign_stride) and drops them when done.
   std::optional<ProfilingOutputs> profiling_;
   /// Step-1 campaigns on the training split, kept because the defender's
   /// simulated malicious samples double as kNN training data.

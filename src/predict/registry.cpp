@@ -26,17 +26,11 @@ ModelRegistry ModelRegistry::train(const std::vector<const data::TelemetrySeries
   ModelRegistry registry;
   registry.personalized_.resize(train_series.size());
 
-  // Per-entity training windows (subsampled), shared by both model kinds.
+  // Personalized models in parallel; each derives its own seed so results
+  // do not depend on scheduling. Each task cuts its entity's (subsampled)
+  // training windows and drops them once its model is trained.
   data::WindowConfig train_window = config.window;
   train_window.step = config.train_window_step;
-
-  std::vector<std::vector<data::Window>> entity_windows(train_series.size());
-  common::parallel_for(pool, train_series.size(), [&](std::size_t i) {
-    entity_windows[i] = data::make_windows(*train_series[i], train_window);
-  });
-
-  // Personalized models in parallel; each derives its own seed so results
-  // do not depend on scheduling.
   common::parallel_for(pool, train_series.size(), [&](std::size_t i) {
     ForecasterConfig fc = config.forecaster;
     fc.seed = config.forecaster.seed * 1000 + i;
@@ -44,7 +38,7 @@ ModelRegistry ModelRegistry::train(const std::vector<const data::TelemetrySeries
     auto model = std::make_unique<BiLstmForecaster>(
         fc, fit_forecaster_scaler(train_series[i]->values, config.target_channel,
                                   config.target_min, config.target_max));
-    const double loss = model->train(entity_windows[i]);
+    const double loss = model->train(data::make_windows(*train_series[i], train_window));
     common::log_info("personalized model ", names[i], " trained, final MSE(norm)=", loss);
     registry.personalized_[i] = std::move(model);
   });

@@ -322,14 +322,15 @@ std::optional<Frame> recv_frame(common::Socket& socket) {
   // Any type value is accepted at this layer — the forward-compatibility
   // rule: a well-framed unknown type must reach the dispatcher (which
   // answers bad-request and keeps the connection), not read as corruption.
-  const std::uint32_t raw_type = get_u32(header + 8);
-  const std::uint64_t length = get_u64(header + 12);
-  if (length > kMaxPayloadBytes) {
-    throw common::SerializationError("wire: payload length " + std::to_string(length) +
-                                     " exceeds the frame limit");
-  }
   Frame frame;
-  frame.type = static_cast<MessageType>(raw_type);
+  frame.type = static_cast<MessageType>(get_u32(header + 8));
+  const std::uint64_t length = get_u64(header + 12);
+  const std::uint64_t limit = max_payload_bytes(frame.type);
+  if (length > limit) {
+    throw common::SerializationError("wire: payload length " + std::to_string(length) +
+                                     " exceeds the " + std::to_string(limit) +
+                                     "-byte limit of a " + to_string(frame.type) + " frame");
+  }
   // The buffer grows only as payload bytes arrive: a header may lie about
   // the length, and a peer that declares 1 GiB and then sends nothing must
   // not cost 1 GiB.

@@ -75,6 +75,32 @@ enum class MessageType : std::uint32_t {
   kRollbackReply = 21,    ///< daemon -> client: CanaryAdminReply
 };
 
+/// Upper bound on the payload of a known request verb other than Score and
+/// Ingest: Stats, Refresh, Shutdown, Health, Drain, ScoreLatest, Promote and
+/// Rollback carry nothing, a name, or a name plus a few integers, so a
+/// longer declared length is malformed at the header, before any payload
+/// byte is read.
+inline constexpr std::uint64_t kMaxControlPayloadBytes = 4096;
+
+/// The payload cap recv_frame enforces for a frame of `type`:
+/// kMaxControlPayloadBytes for the control verbs above, kMaxPayloadBytes for
+/// Score, Ingest, every reply and every unknown type.
+constexpr std::uint64_t max_payload_bytes(MessageType type) noexcept {
+  switch (type) {
+    case MessageType::kStats:
+    case MessageType::kRefresh:
+    case MessageType::kShutdown:
+    case MessageType::kHealth:
+    case MessageType::kDrain:
+    case MessageType::kScoreLatest:
+    case MessageType::kPromote:
+    case MessageType::kRollback:
+      return kMaxControlPayloadBytes;
+    default:
+      return kMaxPayloadBytes;
+  }
+}
+
 enum class ErrorCode : std::uint32_t {
   kMalformedFrame = 1,      ///< framing/payload corruption; connection closes
   kUnsupportedVersion = 2,  ///< header version != kVersion; connection closes
@@ -183,7 +209,8 @@ void send_frame(common::Socket& socket, MessageType type, std::string_view paylo
 
 /// Reads one frame. nullopt on clean EOF at a frame boundary (the peer hung
 /// up between requests). Throws common::SerializationError on bad magic,
-/// unsupported version, oversized length, or EOF mid-frame;
+/// unsupported version, a length over max_payload_bytes(type) (checked at
+/// the header, before any payload byte is read), or EOF mid-frame;
 /// common::SocketError on transport failure. An UNKNOWN type value passes
 /// through (the forward-compatibility rule: the dispatcher answers it with
 /// bad-request instead of the connection dying as corrupt).

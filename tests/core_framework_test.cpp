@@ -8,7 +8,9 @@
 #include <set>
 
 #include <cmath>
+#include <cstring>
 
+#include "attack/campaign.hpp"
 #include "common/error.hpp"
 #include "core/cache.hpp"
 #include "core/framework.hpp"
@@ -134,6 +136,78 @@ TEST(Framework, TestOutcomesAvailablePerEntity) {
     EXPECT_NE(outcome.true_state, data::StateLabel::kHigh);
   }
   EXPECT_THROW((void)framework.test_outcomes(12), common::PreconditionError);
+}
+
+bool same_bytes(const nn::Matrix& a, const nn::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void expect_same_outcomes(const std::vector<attack::WindowOutcome>& got,
+                          const std::vector<attack::WindowOutcome>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t w = 0; w < got.size(); ++w) {
+    const attack::AttackResult& a = got[w].attack;
+    const attack::AttackResult& b = want[w].attack;
+    EXPECT_EQ(a.success, b.success) << what << " window " << w;
+    EXPECT_EQ(a.edits, b.edits) << what << " window " << w;
+    EXPECT_EQ(a.probes, b.probes) << what << " window " << w;
+    EXPECT_EQ(got[w].true_state, want[w].true_state) << what << " window " << w;
+    EXPECT_EQ(got[w].benign_predicted_state, want[w].benign_predicted_state)
+        << what << " window " << w;
+    EXPECT_EQ(got[w].adversarial_predicted_state, want[w].adversarial_predicted_state)
+        << what << " window " << w;
+    EXPECT_TRUE(same_bytes(got[w].benign.features, want[w].benign.features))
+        << what << " window " << w;
+    EXPECT_TRUE(same_bytes(a.adversarial_features, b.adversarial_features))
+        << what << " window " << w;
+  }
+}
+
+void expect_same_windows(const std::vector<nn::Matrix>& got,
+                         const std::vector<nn::Matrix>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t w = 0; w < got.size(); ++w) {
+    EXPECT_TRUE(same_bytes(got[w], want[w])) << what << " window " << w;
+  }
+}
+
+TEST(Framework, WindowsCutAtTheConsumersStrideMatchTheStrideOneCut) {
+  // The framework keeps no stride-1 windows: each campaign cuts its
+  // entity's windows at its own window_step, and the MAD-GAN helpers at
+  // detector_benign_stride. Both must equal striding over the full
+  // stride-1 cut, for every entity.
+  auto& framework = shared_framework();
+  const FrameworkConfig& config = framework.config();
+  const data::MinMaxScaler& scaler = framework.detector_scaler();
+  data::WindowConfig window = config.window;
+  window.step = 1;
+  const auto every_stride = [&](const std::vector<data::Window>& windows) {
+    std::vector<nn::Matrix> out;
+    for (std::size_t w = 0; w < windows.size(); w += config.detector_benign_stride) {
+      out.push_back(scaler.transform(windows[w].features));
+    }
+    return out;
+  };
+  for (std::size_t i = 0; i < framework.entities().size(); ++i) {
+    const EntityData& entity = framework.entities()[i];
+    const auto train = data::make_windows(entity.train, window);
+    const auto test = data::make_windows(entity.test, window);
+    const auto& model = framework.models().personalized(i);
+    expect_same_outcomes(
+        framework.profiling_outcomes(i),
+        attack::run_campaign(model, train, config.profiling_campaign, framework.pool()),
+        entity.name + " profiling campaign");
+    expect_same_outcomes(
+        framework.test_outcomes(i),
+        attack::run_campaign(model, test, config.evaluation_campaign, framework.pool()),
+        entity.name + " evaluation campaign");
+    expect_same_windows(framework.benign_train_windows(i), every_stride(train),
+                        entity.name + " benign train windows");
+    expect_same_windows(framework.benign_test_windows(i), every_stride(test),
+                        entity.name + " benign test windows");
+  }
 }
 
 TEST(Framework, ScaledWindowsAreInUnitBox) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "data/labels.hpp"
@@ -172,6 +176,74 @@ TEST(Windows, TooShortSeriesYieldsNothing) {
   config.seq_len = 12;
   config.horizon = 6;
   EXPECT_TRUE(make_windows(series, config).empty());
+}
+
+/// Seeded draws for window-geometry properties: one fixed-seed generator
+/// per test, sizes drawn log-distributed so short series and small strides
+/// come up as often as long ones.
+class WindowProperty : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kSeed = 123456;
+
+  /// Integer in [lo, hi], log-distributed over [lo + 1, hi + 1].
+  std::size_t log_size(std::size_t lo, std::size_t hi) {
+    const double v = std::exp(rng_.uniform(std::log(lo + 1.0), std::log(hi + 2.0))) - 1.0;
+    return std::clamp(static_cast<std::size_t>(v), lo, hi);
+  }
+
+  TelemetrySeries random_series(std::size_t steps, std::size_t channels) {
+    TelemetrySeries series;
+    series.values = nn::Matrix(steps, channels);
+    for (std::size_t t = 0; t < steps; ++t) {
+      for (std::size_t c = 0; c < channels; ++c) series.values(t, c) = rng_.normal();
+      series.true_target.push_back(rng_.uniform(40.0, 400.0));
+      series.regimes.push_back(rng_.bernoulli(0.3) ? Regime::kActive : Regime::kBaseline);
+    }
+    return series;
+  }
+
+  common::Rng rng_{kSeed};
+};
+
+bool same_bytes(const nn::Matrix& a, const nn::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_F(WindowProperty, StrideKIsEveryKthStrideOneWindow) {
+  // Consumers cut windows at their own stride instead of striding over a
+  // stored stride-1 cut; that is only exact if the two agree window for
+  // window, down to the bytes.
+  std::size_t too_short = 0;
+  std::size_t compared = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    WindowConfig config;
+    config.seq_len = log_size(1, 48);
+    config.horizon = log_size(0, 24);
+    const std::size_t k = log_size(1, 64);
+    const TelemetrySeries series = random_series(log_size(0, 600), log_size(1, 6));
+
+    config.step = 1;
+    const std::vector<Window> dense = make_windows(series, config);
+    config.step = k;
+    const std::vector<Window> strided = make_windows(series, config);
+
+    if (series.steps() < config.seq_len + config.horizon) ++too_short;
+    const std::size_t expected = dense.empty() ? 0 : (dense.size() - 1) / k + 1;
+    ASSERT_EQ(strided.size(), expected) << "trial " << trial << " k=" << k;
+    for (std::size_t j = 0; j < strided.size(); ++j) {
+      const Window& got = strided[j];
+      const Window& want = dense[j * k];
+      ASSERT_TRUE(same_bytes(got.features, want.features)) << "trial " << trial << " j=" << j;
+      ASSERT_EQ(std::memcmp(&got.target_value, &want.target_value, sizeof(double)), 0);
+      ASSERT_EQ(got.end_index, want.end_index);
+      ASSERT_EQ(got.regime, want.regime);
+      ++compared;
+    }
+  }
+  // The draws must reach both sides of the length boundary.
+  EXPECT_GT(too_short, 10u);
+  EXPECT_GT(compared, 1000u);
 }
 
 TEST(Flatten, RowMajorOrder) {

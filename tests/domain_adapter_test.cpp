@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/framework.hpp"
@@ -157,6 +160,19 @@ constexpr double kPinnedAttackRateA2 = 1.0;
 constexpr double kPinnedAttackRateA5 = 0.022222222222222223;
 constexpr double kPinnedProfileMeanA2 = 3888479.5126297241;
 constexpr double kPinnedNormalRatioA5 = 0.83250000000000002;
+/// FNV-1a-64 over the concatenated save_artifact bytes of the 13 trained
+/// forecasters (personalized in entity order, then aggregate): pins
+/// training itself, not only the numbers derived from it.
+constexpr std::uint64_t kPinnedModelsHash = 0x292fdbbf3f7cd227ULL;
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
 
 TEST(BgmsRegression, ProfilingNumbersAreStable) {
   const auto domain = std::make_shared<bgms::BgmsDomain>();
@@ -182,6 +198,15 @@ TEST(BgmsRegression, ProfilingNumbersAreStable) {
   EXPECT_EQ(profiling.train_attack_rates[5].overall_rate(), kPinnedAttackRateA5);
   EXPECT_EQ(profiling.profiles[2].mean(), kPinnedProfileMeanA2);
   EXPECT_EQ(profiling.benign_normal_ratio[5], kPinnedNormalRatioA5);
+
+  const predict::ModelRegistry& models = framework.models();
+  ASSERT_EQ(models.num_personalized(), 12u);
+  std::ostringstream artifacts;
+  for (std::size_t i = 0; i < models.num_personalized(); ++i) {
+    models.personalized(i).save_artifact(artifacts);
+  }
+  models.aggregate().save_artifact(artifacts);
+  EXPECT_EQ(fnv1a64(artifacts.str()), kPinnedModelsHash);
 }
 
 }  // namespace

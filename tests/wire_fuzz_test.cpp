@@ -31,6 +31,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/resource.h>
@@ -251,6 +252,60 @@ TEST(WireFuzz, LyingLengthHeaderCostsOnlyTheBytesThatArrive) {
   const long before_kb = peak_rss_kb();
   EXPECT_THROW((void)wire::recv_frame(reader), common::SerializationError);
   EXPECT_LT(peak_rss_kb() - before_kb, 64L * 1024);
+}
+
+TEST(WireFuzz, ControlVerbsRefuseOversizedPayloadsAtTheHeader) {
+  // A control verb whose header declares more than its cap fails typed at
+  // the header: the payload bytes the peer streams behind it stay unread in
+  // the socket, so none of them is ever buffered, however many follow.
+  using wire::MessageType;
+  const std::string body(std::size_t{64} << 10, 'x');
+  for (const MessageType verb :
+       {MessageType::kStats, MessageType::kRefresh, MessageType::kShutdown,
+        MessageType::kHealth, MessageType::kDrain, MessageType::kScoreLatest,
+        MessageType::kPromote, MessageType::kRollback}) {
+    SCOPED_TRACE(wire::to_string(verb));
+    EXPECT_EQ(wire::max_payload_bytes(verb), wire::kMaxControlPayloadBytes);
+    for (const std::uint64_t declared :
+         {wire::kMaxControlPayloadBytes + 1, std::uint64_t{1} << 30}) {
+      int fds[2];
+      ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+      common::Socket reader(fds[0]);
+      common::Socket peer(fds[1]);
+      std::string header = frame_bytes(verb, "");
+      std::memcpy(header.data() + 12, &declared, 8);
+      const std::string stream = header + body;
+      peer.write_all(stream.data(), stream.size());
+
+      const long before_kb = peak_rss_kb();
+      EXPECT_THROW((void)wire::recv_frame(reader), common::SerializationError);
+      EXPECT_LT(peak_rss_kb() - before_kb, 1024L);
+      std::string unread(body.size(), '\0');
+      ASSERT_EQ(reader.read_exact(unread.data(), unread.size()),
+                common::Socket::ReadResult::kOk);
+      EXPECT_EQ(unread, body);
+    }
+  }
+
+  // A control payload at exactly the cap is read whole; Score, Ingest and
+  // unknown types keep the global cap, so the same length passes for them.
+  const std::size_t cap = wire::kMaxControlPayloadBytes;
+  for (const auto& [type, length] : std::vector<std::pair<MessageType, std::size_t>>{
+           {MessageType::kDrain, cap},
+           {MessageType::kScore, cap + 1},
+           {MessageType::kIngest, cap + 1},
+           {static_cast<MessageType>(0x7eadbeef), cap + 1}}) {
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    common::Socket reader(fds[0]);
+    common::Socket peer(fds[1]);
+    const std::string frame = frame_bytes(type, std::string(length, 'y'));
+    peer.write_all(frame.data(), frame.size());
+    const std::optional<wire::Frame> got = wire::recv_frame(reader);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->type, type);
+    EXPECT_EQ(got->payload.size(), length);
+  }
 }
 
 TEST(WireFuzz, MutatedFramesNeverCrashOrWedgeEitherTransport) {
